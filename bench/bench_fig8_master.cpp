@@ -73,7 +73,7 @@ MasterLoad run(int n_agents, double seconds) {
 /// 0-agent case: the master alone, cycled manually.
 MasterLoad run_empty(double seconds) {
   sim::Simulator simulator;
-  ctrl::MasterController master(simulator, scenario::per_tti_master_config());
+  ctrl::ShardCore master(simulator, scenario::per_tti_master_config());
   master.add_app(std::make_unique<apps::RemoteSchedulerApp>());
   master.add_app(std::make_unique<apps::MonitoringApp>(100));
   sim::TtiTicker ticker(simulator);

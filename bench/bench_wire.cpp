@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "controller/master.h"
+#include "controller/shard_core.h"
 #include "net/framing.h"
 #include "net/sim_transport.h"
 #include "proto/messages.h"

@@ -11,14 +11,15 @@ void MonitoringApp::on_cycle(std::int64_t cycle, ctrl::NorthboundApi& api) {
     const auto& agent = *agent_node;
     AgentSummary summary;
     double cqi_sum = 0.0;
-    // Scan the SoA hot columns instead of walking cells -> UE map nodes:
-    // same totals, contiguous memory (docs/wire_fastpath.md).
-    const auto& hot = agent.hot;
-    summary.ue_count = hot.size();
-    for (std::size_t i = 0; i < hot.size(); ++i) {
-      cqi_sum += hot.wb_cqi[i];
-      summary.total_queue_bytes += hot.rlc_queue_bytes[i];
-      summary.total_dl_bytes += hot.dl_bytes_delivered[i];
+    for (const auto& [cell_id, cell] : agent.cells) {
+      (void)cell_id;
+      for (const auto& [rnti, ue] : cell.ues) {
+        (void)rnti;
+        ++summary.ue_count;
+        cqi_sum += ue.stats.wb_cqi;
+        summary.total_queue_bytes += ue.stats.rlc_queue_bytes;
+        summary.total_dl_bytes += ue.stats.dl_bytes_delivered;
+      }
     }
     if (summary.ue_count > 0) summary.mean_cqi = cqi_sum / static_cast<double>(summary.ue_count);
     summaries_[id] = summary;

@@ -70,7 +70,7 @@ class FileCheckpointSink : public CheckpointSink {
 };
 
 /// In-memory sink for tests, benches and scenario runs: survives a
-/// simulated master restart (the sink outlives MasterController::restart())
+/// simulated master restart (the sink outlives ShardCore::restart())
 /// without touching the filesystem.
 class MemoryCheckpointSink : public CheckpointSink {
  public:

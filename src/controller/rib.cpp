@@ -1,5 +1,7 @@
 #include "controller/rib.h"
 
+#include <utility>
+
 namespace flexran::ctrl {
 
 const char* to_string(SessionState state) {
@@ -12,59 +14,45 @@ const char* to_string(SessionState state) {
   return "?";
 }
 
-std::size_t UeHotColumns::upsert(lte::Rnti r) {
-  auto [it, inserted] = index_.try_emplace(r, rnti.size());
-  if (inserted) {
-    rnti.push_back(r);
-    wb_cqi.push_back(0);
-    bsr_total_bytes.push_back(0);
-    rlc_queue_bytes.push_back(0);
-    dl_bytes_delivered.push_back(0);
-    cqi_avg.push_back(0.0);
+const UeNode* AgentNode::find_ue(lte::Rnti rnti) const {
+  for (const auto& [cell_id, cell] : cells) {
+    (void)cell_id;
+    auto it = cell.ues.find(rnti);
+    if (it != cell.ues.end()) return &it->second;
   }
-  return it->second;
+  return nullptr;
 }
 
-void UeHotColumns::erase(lte::Rnti r) {
-  auto it = index_.find(r);
-  if (it == index_.end()) return;
-  const std::size_t row = it->second;
-  const std::size_t last = rnti.size() - 1;
-  if (row != last) {
-    rnti[row] = rnti[last];
-    wb_cqi[row] = wb_cqi[last];
-    bsr_total_bytes[row] = bsr_total_bytes[last];
-    rlc_queue_bytes[row] = rlc_queue_bytes[last];
-    dl_bytes_delivered[row] = dl_bytes_delivered[last];
-    cqi_avg[row] = cqi_avg[last];
-    index_[rnti[row]] = row;
+UeNode* AgentNode::find_ue(lte::Rnti rnti) {
+  return const_cast<UeNode*>(std::as_const(*this).find_ue(rnti));
+}
+
+UeNode& AgentNode::place_ue(lte::CellId cell_id, lte::Rnti rnti) {
+  auto& ues = cells[cell_id].ues;
+  if (auto it = ues.find(rnti); it != ues.end()) return it->second;
+  UeNode ue;
+  if (UeNode* elsewhere = find_ue(rnti)) {
+    ue = std::move(*elsewhere);
+    erase_ue(rnti);
   }
-  rnti.pop_back();
-  wb_cqi.pop_back();
-  bsr_total_bytes.pop_back();
-  rlc_queue_bytes.pop_back();
-  dl_bytes_delivered.pop_back();
-  cqi_avg.pop_back();
-  index_.erase(it);
+  ue.rnti = rnti;
+  return ues.emplace(rnti, std::move(ue)).first->second;
 }
 
-void UeHotColumns::clear() {
-  rnti.clear();
-  wb_cqi.clear();
-  bsr_total_bytes.clear();
-  rlc_queue_bytes.clear();
-  dl_bytes_delivered.clear();
-  cqi_avg.clear();
-  index_.clear();
+void AgentNode::erase_ue(lte::Rnti rnti) {
+  for (auto& [cell_id, cell] : cells) {
+    (void)cell_id;
+    cell.ues.erase(rnti);
+  }
 }
 
-std::size_t UeHotColumns::approx_bytes() const {
-  return rnti.capacity() * sizeof(lte::Rnti) + wb_cqi.capacity() +
-         bsr_total_bytes.capacity() * sizeof(std::uint32_t) +
-         rlc_queue_bytes.capacity() * sizeof(std::uint32_t) +
-         dl_bytes_delivered.capacity() * sizeof(std::uint64_t) +
-         cqi_avg.capacity() * sizeof(double) +
-         index_.size() * (sizeof(std::pair<lte::Rnti, std::size_t>) + 48 /* map node */);
+std::size_t AgentNode::ue_count() const {
+  std::size_t count = 0;
+  for (const auto& [cell_id, cell] : cells) {
+    (void)cell_id;
+    count += cell.ues.size();
+  }
+  return count;
 }
 
 const AgentNode* Rib::find_agent(AgentId id) const {
@@ -74,34 +62,19 @@ const AgentNode* Rib::find_agent(AgentId id) const {
 
 const UeNode* Rib::find_ue(AgentId id, lte::Rnti rnti) const {
   const AgentNode* agent = find_agent(id);
-  if (agent == nullptr) return nullptr;
-  for (const auto& [cell_id, cell] : agent->cells) {
-    (void)cell_id;
-    auto it = cell.ues.find(rnti);
-    if (it != cell.ues.end()) return &it->second;
-  }
-  return nullptr;
+  return agent == nullptr ? nullptr : agent->find_ue(rnti);
 }
 
 UeNode* Rib::mutable_ue(AgentId id, lte::Rnti rnti) {
-  auto agent_it = agents_.find(id);
-  if (agent_it == agents_.end()) return nullptr;
-  for (auto& [cell_id, cell] : agent_it->second.cells) {
-    (void)cell_id;
-    auto it = cell.ues.find(rnti);
-    if (it != cell.ues.end()) return &it->second;
-  }
-  return nullptr;
+  auto it = agents_.find(id);
+  return it == agents_.end() ? nullptr : it->second.find_ue(rnti);
 }
 
 std::size_t Rib::ue_count() const {
   std::size_t count = 0;
   for (const auto& [id, agent] : agents_) {
     (void)id;
-    for (const auto& [cell_id, cell] : agent.cells) {
-      (void)cell_id;
-      count += cell.ues.size();
-    }
+    count += agent.ue_count();
   }
   return count;
 }
@@ -110,7 +83,7 @@ std::size_t Rib::approx_bytes() const {
   std::size_t bytes = sizeof(*this);
   for (const auto& [id, agent] : agents_) {
     (void)id;
-    bytes += sizeof(AgentNode) + agent.name.size() + agent.hot.approx_bytes();
+    bytes += sizeof(AgentNode) + agent.name.size();
     for (const auto& cap : agent.capabilities) bytes += cap.size() + sizeof(std::string);
     for (const auto& [cell_id, cell] : agent.cells) {
       (void)cell_id;

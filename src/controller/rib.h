@@ -46,43 +46,23 @@ struct CellNode {
   std::map<lte::Rnti, UeNode> ues;
 };
 
-/// Flat structure-of-arrays mirror of the per-UE hot statistics
-/// (docs/wire_fastpath.md). The RIB updater writes one row per stats report;
-/// periodic apps (monitoring, MEC throughput estimation) scan contiguous
-/// columns instead of chasing two levels of map nodes. Rows are unordered:
-/// erase() swap-removes, so indices are only stable between mutations.
-/// The tree (CellNode::ues) stays the source of truth for config and
-/// cold fields; these columns carry only what per-cycle scans touch.
-class UeHotColumns {
- public:
-  std::vector<lte::Rnti> rnti;
-  std::vector<std::uint8_t> wb_cqi;
-  std::vector<std::uint32_t> bsr_total_bytes;
-  std::vector<std::uint32_t> rlc_queue_bytes;
-  std::vector<std::uint64_t> dl_bytes_delivered;
-  std::vector<double> cqi_avg;  ///< smoothed CQI; 0 until the EWMA is seeded
-
-  std::size_t size() const { return rnti.size(); }
-  bool empty() const { return rnti.empty(); }
-  /// Row index for `r`, appending a zeroed row on first sight.
-  std::size_t upsert(lte::Rnti r);
-  /// Swap-removes the row for `r` (no-op when absent).
-  void erase(lte::Rnti r);
-  void clear();
-  std::size_t approx_bytes() const;
-
- private:
-  std::map<lte::Rnti, std::size_t> index_;
-};
-
 struct AgentNode {
   AgentId id = 0;
   lte::EnbId enb_id = 0;
   std::string name;
   std::vector<std::string> capabilities;
   std::map<lte::CellId, CellNode> cells;
-  /// SoA hot-stat columns over all UEs of this agent (every cell).
-  UeHotColumns hot;
+
+  /// The UE's node in whichever cell holds it; nullptr when absent.
+  const UeNode* find_ue(lte::Rnti rnti) const;
+  UeNode* find_ue(lte::Rnti rnti);
+  /// The UE's node under `cell_id`. A node held under another cell moves
+  /// there with its stats, so one RNTI never has two nodes; an unknown RNTI
+  /// gets a fresh node.
+  UeNode& place_ue(lte::CellId cell_id, lte::Rnti rnti);
+  /// Removes the UE from every cell (no-op when absent).
+  void erase_ue(lte::Rnti rnti);
+  std::size_t ue_count() const;
 
   /// Latest subframe the agent reported (sync ticks / stats replies) and
   /// when it arrived -- the master's view of agent time, which trails real

@@ -1,57 +1,30 @@
 #include "controller/rib_view.h"
 
-#include <type_traits>
-
 namespace flexran::ctrl {
-
-namespace {
-
-void summarize_agent(AgentId agent_id, const AgentNode& agent, std::vector<UeSummary>& out) {
-  for (const auto& [cell_id, cell] : agent.cells) {
-    for (const auto& [rnti, ue] : cell.ues) {
-      UeSummary summary;
-      summary.agent = agent_id;
-      summary.cell = cell_id;
-      summary.rnti = rnti;
-      summary.cqi = ue.stats.wb_cqi;
-      summary.cqi_avg = ue.cqi_avg.seeded() ? ue.cqi_avg.value() : 0.0;
-      summary.queue_bytes = ue.stats.rlc_queue_bytes;
-      summary.dl_bytes_delivered = ue.stats.dl_bytes_delivered;
-      for (const auto& measurement : ue.stats.rsrp) {
-        if (measurement.cell_id == cell_id) continue;
-        if (measurement.rsrp_dbm > summary.best_neighbor_rsrp_dbm) {
-          summary.best_neighbor_rsrp_dbm = measurement.rsrp_dbm;
-          summary.best_neighbor = measurement.cell_id;
-        }
-      }
-      out.push_back(summary);
-    }
-  }
-}
-
-std::uint32_t agent_load(const AgentNode& agent) {
-  std::uint32_t load = 0;
-  for (const auto& [cell_id, cell] : agent.cells) {
-    (void)cell_id;
-    load += cell.stats.active_ues;
-  }
-  return load;
-}
-
-}  // namespace
-
-std::vector<UeSummary> summarize_ues(const Rib& rib) {
-  std::vector<UeSummary> out;
-  for (const auto& [agent_id, agent] : rib.agents()) {
-    summarize_agent(agent_id, agent, out);
-  }
-  return out;
-}
 
 std::vector<UeSummary> summarize_ues(const RibSnapshot& snapshot) {
   std::vector<UeSummary> out;
   for (const auto& [agent_id, agent] : snapshot.agents()) {
-    summarize_agent(agent_id, *agent, out);
+    for (const auto& [cell_id, cell] : agent->cells) {
+      for (const auto& [rnti, ue] : cell.ues) {
+        UeSummary summary;
+        summary.agent = agent_id;
+        summary.cell = cell_id;
+        summary.rnti = rnti;
+        summary.cqi = ue.stats.wb_cqi;
+        summary.cqi_avg = ue.cqi_avg.seeded() ? ue.cqi_avg.value() : 0.0;
+        summary.queue_bytes = ue.stats.rlc_queue_bytes;
+        summary.dl_bytes_delivered = ue.stats.dl_bytes_delivered;
+        for (const auto& measurement : ue.stats.rsrp) {
+          if (measurement.cell_id == cell_id) continue;
+          if (measurement.rsrp_dbm > summary.best_neighbor_rsrp_dbm) {
+            summary.best_neighbor_rsrp_dbm = measurement.rsrp_dbm;
+            summary.best_neighbor = measurement.cell_id;
+          }
+        }
+        out.push_back(summary);
+      }
+    }
   }
   return out;
 }
@@ -62,17 +35,14 @@ double cell_dl_utilization(const CellNode& cell) {
   return static_cast<double>(cell.stats.dl_prbs_in_use) / static_cast<double>(total);
 }
 
-namespace {
-template <typename AgentMap>
-std::optional<AgentId> least_loaded_in(const AgentMap& agents) {
+std::optional<AgentId> least_loaded_agent(const RibSnapshot& snapshot) {
   std::optional<AgentId> best;
   std::uint32_t best_load = 0;
-  for (const auto& [agent_id, agent] : agents) {
-    std::uint32_t load;
-    if constexpr (std::is_same_v<std::decay_t<decltype(agent)>, AgentNode>) {
-      load = agent_load(agent);
-    } else {
-      load = agent_load(*agent);
+  for (const auto& [agent_id, agent] : snapshot.agents()) {
+    std::uint32_t load = 0;
+    for (const auto& [cell_id, cell] : agent->cells) {
+      (void)cell_id;
+      load += cell.stats.active_ues;
     }
     if (!best.has_value() || load < best_load) {
       best = agent_id;
@@ -81,44 +51,22 @@ std::optional<AgentId> least_loaded_in(const AgentMap& agents) {
   }
   return best;
 }
-}  // namespace
-
-std::optional<AgentId> least_loaded_agent(const Rib& rib) {
-  return least_loaded_in(rib.agents());
-}
-
-std::optional<AgentId> least_loaded_agent(const RibSnapshot& snapshot) {
-  return least_loaded_in(snapshot.agents());
-}
-
-void RibAnalytics::sample_agent(AgentId agent_id, const AgentNode& agent, double dt_s) {
-  for (const auto& [cell_id, cell] : agent.cells) {
-    auto& cell_state = cell_state_[{agent_id, cell_id}];
-    cell_state.utilization.add(cell_dl_utilization(cell));
-    for (const auto& [rnti, ue] : cell.ues) {
-      auto& state = ue_state_[{agent_id, rnti}];
-      if (dt_s > 0.0) {
-        const auto delta = ue.stats.dl_bytes_delivered - state.last_bytes;
-        state.rate_mbps.add(static_cast<double>(delta) * 8.0 / dt_s / 1e6);
-      }
-      state.last_bytes = ue.stats.dl_bytes_delivered;
-    }
-  }
-}
-
-void RibAnalytics::sample(const Rib& rib, sim::TimeUs now) {
-  const double dt_s = samples_ > 0 ? sim::to_seconds(now - last_sample_) : 0.0;
-  for (const auto& [agent_id, agent] : rib.agents()) {
-    sample_agent(agent_id, agent, dt_s);
-  }
-  last_sample_ = now;
-  ++samples_;
-}
 
 void RibAnalytics::sample(const RibSnapshot& snapshot, sim::TimeUs now) {
   const double dt_s = samples_ > 0 ? sim::to_seconds(now - last_sample_) : 0.0;
   for (const auto& [agent_id, agent] : snapshot.agents()) {
-    sample_agent(agent_id, *agent, dt_s);
+    for (const auto& [cell_id, cell] : agent->cells) {
+      auto& cell_state = cell_state_[{agent_id, cell_id}];
+      cell_state.utilization.add(cell_dl_utilization(cell));
+      for (const auto& [rnti, ue] : cell.ues) {
+        auto& state = ue_state_[{agent_id, rnti}];
+        if (dt_s > 0.0) {
+          const auto delta = ue.stats.dl_bytes_delivered - state.last_bytes;
+          state.rate_mbps.add(static_cast<double>(delta) * 8.0 / dt_s / 1e6);
+        }
+        state.last_bytes = ue.stats.dl_bytes_delivered;
+      }
+    }
   }
   last_sample_ = now;
   ++samples_;

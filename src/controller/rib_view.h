@@ -9,7 +9,6 @@
 #include <optional>
 #include <vector>
 
-#include "controller/rib.h"
 #include "controller/rib_snapshot.h"
 
 namespace flexran::ctrl {
@@ -28,9 +27,8 @@ struct UeSummary {
   double best_neighbor_rsrp_dbm = -200.0;
 };
 
-/// Flattens the agent->cell->UE forest into summaries. The Rib overload
-/// serves the coordinator/tests; applications use the RibSnapshot one.
-std::vector<UeSummary> summarize_ues(const Rib& rib);
+/// Flattens the agent->cell->UE forest into summaries. Every reader goes
+/// through a snapshot; wrap a bare Rib with RibSnapshot::capture.
 std::vector<UeSummary> summarize_ues(const RibSnapshot& snapshot);
 
 /// Instantaneous DL PRB utilization of a cell in [0, 1].
@@ -38,17 +36,13 @@ double cell_dl_utilization(const CellNode& cell);
 
 /// Agent with the fewest connected UEs (simple admission heuristic);
 /// nullopt when the RIB is empty.
-std::optional<AgentId> least_loaded_agent(const Rib& rib);
 std::optional<AgentId> least_loaded_agent(const RibSnapshot& snapshot);
 
 /// Stateful analytics: call sample() periodically; rates are derived from
-/// deltas of the RIB's cumulative per-UE byte counters. The two sample()
-/// overloads are interchangeable: a snapshot of the RIB yields the same
-/// rates as the live RIB it was captured from.
+/// deltas of the RIB's cumulative per-UE byte counters.
 class RibAnalytics {
  public:
-  /// Snapshot the RIB at simulated time `now`.
-  void sample(const Rib& rib, sim::TimeUs now);
+  /// Samples the RIB snapshot at simulated time `now`.
   void sample(const RibSnapshot& snapshot, sim::TimeUs now);
 
   /// Smoothed delivered DL rate of a UE in Mb/s (0 until two samples).
@@ -65,8 +59,6 @@ class RibAnalytics {
   struct CellState {
     util::Ewma utilization{0.3};
   };
-
-  void sample_agent(AgentId agent_id, const AgentNode& agent, double dt_s);
 
   std::map<std::pair<AgentId, lte::Rnti>, UeState> ue_state_;
   std::map<std::pair<AgentId, lte::CellId>, CellState> cell_state_;

@@ -414,12 +414,9 @@ void ShardCore::apply_update(const PendingUpdate& update) {
       if (!reply.ok()) break;
       for (const auto& ue_msg : reply->ues) {
         const auto config = ue_msg.to_ue_config();
-        auto& cell = agent.cells[config.primary_cell];
-        auto& ue = cell.ues[config.rnti];
-        ue.rnti = config.rnti;
+        auto& ue = agent.place_ue(config.primary_cell, config.rnti);
         ue.config = config;
         ue.last_update = sim_.now();
-        agent.hot.upsert(config.rnti);
       }
       break;
     }
@@ -436,25 +433,16 @@ void ShardCore::apply_update(const PendingUpdate& update) {
         agent.last_subframe_at = sim_.now();
       }
       for (const auto& report : reply->ue_reports) {
-        UeNode* ue = rib_.mutable_ue(update.agent, report.rnti);
+        UeNode* ue = agent.find_ue(report.rnti);
         if (ue == nullptr) {
-          // First sighting: attach under the agent's first cell.
-          if (agent.cells.empty()) agent.cells[0] = CellNode{};
-          auto& cell = agent.cells.begin()->second;
-          ue = &cell.ues[report.rnti];
-          ue->rnti = report.rnti;
+          // First sighting: file under the agent's first cell (cell 0 while
+          // none is known); a later config reply or attach moves it.
+          ue = &agent.place_ue(agent.cells.empty() ? 0 : agent.cells.begin()->first,
+                               report.rnti);
         }
         ue->stats = report;
         ue->last_update = sim_.now();
         if (report.wb_cqi > 0) ue->cqi_avg.add(report.wb_cqi);
-        // Mirror the hot fields into the agent's SoA columns: one dense row
-        // write here buys apps contiguous scans on every cycle.
-        const std::size_t row = agent.hot.upsert(report.rnti);
-        agent.hot.wb_cqi[row] = report.wb_cqi;
-        agent.hot.bsr_total_bytes[row] = report.total_bsr();
-        agent.hot.rlc_queue_bytes[row] = report.rlc_queue_bytes;
-        agent.hot.dl_bytes_delivered[row] = report.dl_bytes_delivered;
-        agent.hot.cqi_avg[row] = ue->cqi_avg.seeded() ? ue->cqi_avg.value() : 0.0;
       }
       for (const auto& cell_report : reply->cell_reports) {
         auto& cell = agent.cells[cell_report.cell_id];
@@ -474,18 +462,10 @@ void ShardCore::apply_update(const PendingUpdate& update) {
         break;  // sync ticks are not app events
       }
       if (event->event == proto::EventType::ue_detach && event->rnti != lte::kInvalidRnti) {
-        for (auto& [cell_id, cell] : agent.cells) {
-          (void)cell_id;
-          cell.ues.erase(event->rnti);
-        }
-        agent.hot.erase(event->rnti);
+        agent.erase_ue(event->rnti);
       }
       if (event->event == proto::EventType::ue_attach && event->rnti != lte::kInvalidRnti) {
-        auto& cell = agent.cells[event->cell_id];
-        auto& ue = cell.ues[event->rnti];
-        ue.rnti = event->rnti;
-        ue.last_update = sim_.now();
-        agent.hot.upsert(event->rnti);
+        agent.place_ue(event->cell_id, event->rnti).last_update = sim_.now();
       }
       if (event->event == proto::EventType::policy_applied ||
           event->event == proto::EventType::policy_rejected) {

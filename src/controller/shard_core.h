@@ -10,8 +10,7 @@
 // per-shard core: instantiable N times in one process, each instance owning
 // a disjoint agent set, with a thin Coordinator (coordinator.h) assigning
 // agents, aggregating snapshots and routing commands. A standalone instance
-// (shard index unset) is the classic single master; `MasterController` in
-// master.h aliases it for source compatibility.
+// (shard index unset) is the classic single master.
 #pragma once
 
 #include <deque>

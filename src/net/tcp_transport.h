@@ -3,7 +3,7 @@
 // with the master"). Blocking sockets with one reader thread per
 // connection; the receive callback runs on that thread.
 //
-// Threading contract: Agent and MasterController are single-threaded (they
+// Threading contract: Agent and ShardCore are single-threaded (they
 // live inside the discrete-event simulator). When bridging them onto a
 // TcpTransport, marshal received messages onto the owner's thread/event
 // loop in the receive callback -- do not call into controller state from

@@ -23,7 +23,7 @@
 
 #include "agent/agent.h"
 #include "controller/coordinator.h"
-#include "controller/master.h"
+#include "controller/shard_core.h"
 #include "net/sim_transport.h"
 #include "phy/radio_env.h"
 #include "scenario/metrics.h"
@@ -89,7 +89,7 @@ class Testbed {
   /// Shard 0's core -- with the default single shard, *the* master.
   /// Single-shard tests/examples keep reading the control plane here;
   /// multi-shard code goes through coordinator().
-  ctrl::MasterController& master() { return coordinator_.shard(0); }
+  ctrl::ShardCore& master() { return coordinator_.shard(0); }
   ctrl::Coordinator& coordinator() { return coordinator_; }
   const ctrl::Coordinator& coordinator() const { return coordinator_; }
   phy::RadioEnvironment& radio_env() { return env_; }

@@ -11,9 +11,9 @@
 
 #include "apps/monitoring.h"
 #include "apps/remote_scheduler.h"
-#include "controller/master.h"
 #include "controller/rib_snapshot.h"
 #include "controller/rib_view.h"
+#include "controller/shard_core.h"
 #include "controller/task_manager.h"
 #include "scenario/testbed.h"
 
@@ -125,39 +125,38 @@ TEST(RibSnapshot, CurrentIsConsistentUnderConcurrentPublish) {
 // ------------------------------------------------- snapshot-backed views ---
 
 TEST(RibViewSnapshot, AnalyticsOverSnapshotMatchesLiveRib) {
+  // Snapshots captured from the live RIB yield the rates, summaries and
+  // load ranking its content implies (make_rib: agent i has one cell i at
+  // 10*i of 50 PRBs, two UEs with 1000*i delivered bytes, 2 active UEs).
   Rib rib = make_rib();
-  RibAnalytics live;
-  RibAnalytics snap;
-
-  live.sample(rib, 0);
-  snap.sample(*RibSnapshot::capture(rib), 0);
+  RibAnalytics analytics;
+  analytics.sample(*RibSnapshot::capture(rib), 0);
 
   for (AgentId id = 1; id <= 3; ++id) {
     for (lte::Rnti rnti = 70; rnti < 72; ++rnti) {
       rib.agent(id).cells[id].ues[rnti].stats.dl_bytes_delivered += 125000;  // 1 Mb
     }
   }
-  const sim::TimeUs t1 = sim::from_seconds(1.0);
-  live.sample(rib, t1);
-  snap.sample(*RibSnapshot::capture(rib), t1);
+  analytics.sample(*RibSnapshot::capture(rib), sim::from_seconds(1.0));
 
   for (AgentId id = 1; id <= 3; ++id) {
     for (lte::Rnti rnti = 70; rnti < 72; ++rnti) {
-      EXPECT_DOUBLE_EQ(snap.ue_dl_rate_mbps(id, rnti), live.ue_dl_rate_mbps(id, rnti));
-      EXPECT_GT(snap.ue_dl_rate_mbps(id, rnti), 0.0);
+      EXPECT_DOUBLE_EQ(analytics.ue_dl_rate_mbps(id, rnti), 1.0);  // 1 Mb in 1 s
     }
-    EXPECT_DOUBLE_EQ(snap.cell_utilization(id, id), live.cell_utilization(id, id));
+    EXPECT_DOUBLE_EQ(analytics.cell_utilization(id, id), 0.2 * id);
   }
 
-  const auto live_summaries = summarize_ues(rib);
-  const auto snap_summaries = summarize_ues(*RibSnapshot::capture(rib));
-  ASSERT_EQ(snap_summaries.size(), live_summaries.size());
-  for (std::size_t i = 0; i < live_summaries.size(); ++i) {
-    EXPECT_EQ(snap_summaries[i].agent, live_summaries[i].agent);
-    EXPECT_EQ(snap_summaries[i].rnti, live_summaries[i].rnti);
-    EXPECT_EQ(snap_summaries[i].dl_bytes_delivered, live_summaries[i].dl_bytes_delivered);
+  const auto summaries = summarize_ues(*RibSnapshot::capture(rib));
+  ASSERT_EQ(summaries.size(), 6u);
+  for (std::size_t i = 0; i < summaries.size(); ++i) {
+    const AgentId id = static_cast<AgentId>(1 + i / 2);
+    EXPECT_EQ(summaries[i].agent, id);
+    EXPECT_EQ(summaries[i].cell, id);
+    EXPECT_EQ(summaries[i].rnti, static_cast<lte::Rnti>(70 + i % 2));
+    EXPECT_EQ(summaries[i].dl_bytes_delivered, 1000u * id + 125000u);
   }
-  EXPECT_EQ(least_loaded_agent(*RibSnapshot::capture(rib)), least_loaded_agent(rib));
+  // Equal loads (2 UEs each): the lowest agent id wins.
+  EXPECT_EQ(least_loaded_agent(*RibSnapshot::capture(rib)), std::optional<AgentId>(1));
 }
 
 // ------------------------------------------------------ batched commands ---

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "controller/master.h"
+#include "apps/monitoring.h"
 #include "controller/rib.h"
+#include "controller/rib_view.h"
+#include "controller/shard_core.h"
 #include "controller/task_manager.h"
+#include "net/sim_transport.h"
 #include "scenario/testbed.h"
 
 namespace flexran::ctrl {
@@ -59,6 +62,67 @@ TEST(Rib, ApproxBytesGrowsWithContent) {
     agent.cells[1].ues[rnti].rnti = rnti;
   }
   EXPECT_GT(rib.approx_bytes(), empty + 16 * sizeof(UeNode));
+}
+
+TEST(RibUpdater, UeFirstSeenInStatsIsMovedNotDuplicated) {
+  // A stats report for an unknown RNTI files the UE under the agent's first
+  // cell (a placeholder cell 0 while none is known). A later UeConfigReply
+  // or ue_attach naming another cell must move that node there, not add a
+  // second UeNode for the same RNTI.
+  sim::Simulator sim;
+  ShardCore master(sim, scenario::per_tti_master_config());
+  auto link = net::make_sim_transport_pair(sim);
+  const AgentId id = master.add_agent(*link.a);
+  const auto deliver = [&](const std::vector<std::uint8_t>& wire) {
+    ASSERT_TRUE(link.b->send(wire).ok());
+    sim.run();
+    master.run_cycle();
+  };
+  const auto report = [&](lte::Rnti rnti, std::uint8_t cqi) {
+    proto::StatsReply reply;
+    reply.ue_reports.emplace_back();
+    reply.ue_reports.back().rnti = rnti;
+    reply.ue_reports.back().wb_cqi = cqi;
+    deliver(proto::pack(reply));
+  };
+  const auto cell_of = [&](lte::Rnti rnti) {
+    std::vector<lte::CellId> cells;
+    for (const auto& [cell_id, cell] : master.rib().find_agent(id)->cells) {
+      if (cell.ues.contains(rnti)) cells.push_back(cell_id);
+    }
+    return cells;
+  };
+
+  // UeConfigReply path: no cell known yet, so the report lands in cell 0.
+  report(70, 9);
+  ASSERT_EQ(cell_of(70), std::vector<lte::CellId>{0});
+  proto::UeConfigReply config;
+  config.ues.emplace_back();
+  config.ues.back().rnti = 70;
+  config.ues.back().primary_cell = 2;
+  deliver(proto::pack(config));
+  EXPECT_EQ(cell_of(70), std::vector<lte::CellId>{2});
+  EXPECT_EQ(master.rib().ue_count(), 1u);
+  EXPECT_EQ(master.rib_snapshot()->ue_count(), 1u);
+  const UeNode* ue = master.rib().find_ue(id, 70);
+  ASSERT_NE(ue, nullptr);
+  EXPECT_EQ(ue->config.primary_cell, 2u);
+  EXPECT_EQ(ue->stats.wb_cqi, 9);  // the moved node keeps its stats
+
+  // ue_attach path: the report lands in the first known cell (0), the
+  // attach event names cell 3.
+  report(71, 7);
+  ASSERT_EQ(cell_of(71), std::vector<lte::CellId>{0});
+  proto::EventNotification attach;
+  attach.event = proto::EventType::ue_attach;
+  attach.rnti = 71;
+  attach.cell_id = 3;
+  deliver(proto::pack(attach));
+  EXPECT_EQ(cell_of(71), std::vector<lte::CellId>{3});
+  EXPECT_EQ(master.rib().ue_count(), 2u);
+  EXPECT_EQ(master.rib_snapshot()->ue_count(), 2u);
+  ASSERT_NE(master.rib().find_ue(id, 71), nullptr);
+  EXPECT_EQ(master.rib().find_ue(id, 71)->stats.wb_cqi, 7);
 }
 
 // ----------------------------------------------------------- Task manager --
@@ -258,24 +322,30 @@ TEST(MasterEndToEnd, RxAccountingSeesStatsDominance) {
   EXPECT_EQ(tx.bytes(proto::MessageCategory::stats), rx.bytes(proto::MessageCategory::stats));
 }
 
-TEST(MasterEndToEnd, HotColumnsMirrorUeStats) {
-  // The SoA hot-stat columns (docs/wire_fastpath.md) must stay in lockstep
-  // with the per-UE tree: populated by stats ingest, row removed on detach.
+TEST(MasterEndToEnd, MonitoringSummaryMirrorsUeStats) {
+  // MonitoringApp and the rib_view summaries read the per-UE tree through
+  // the pinned snapshot: populated by stats ingest, UE gone after detach.
   Testbed testbed(scenario::per_tti_master_config());
+  auto* monitoring = static_cast<apps::MonitoringApp*>(
+      testbed.master().add_app(std::make_unique<apps::MonitoringApp>(1)));
   auto& enb = testbed.add_enb(spec(1));
   testbed.add_enb(spec(2));
   const auto rnti = testbed.add_ue(0, cqi_ue(12));
   testbed.run_ttis(60);
 
-  const auto* agent = testbed.master().rib().find_agent(enb.agent_id);
-  ASSERT_NE(agent, nullptr);
-  ASSERT_EQ(agent->hot.size(), 1u);
-  EXPECT_EQ(agent->hot.rnti[0], rnti);
-  EXPECT_EQ(agent->hot.wb_cqi[0], 12);
   const auto* ue = testbed.master().rib().find_ue(enb.agent_id, rnti);
   ASSERT_NE(ue, nullptr);
-  EXPECT_EQ(agent->hot.rlc_queue_bytes[0], ue->stats.rlc_queue_bytes);
-  EXPECT_NEAR(agent->hot.cqi_avg[0], ue->cqi_avg.value(), 1e-9);
+  ASSERT_TRUE(monitoring->summaries().contains(enb.agent_id));
+  const auto& summary = monitoring->summaries().at(enb.agent_id);
+  EXPECT_EQ(summary.ue_count, 1u);
+  EXPECT_DOUBLE_EQ(summary.mean_cqi, 12.0);
+  EXPECT_EQ(summary.total_queue_bytes, ue->stats.rlc_queue_bytes);
+  const auto rows = summarize_ues(*testbed.master().rib_snapshot());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].rnti, rnti);
+  EXPECT_EQ(rows[0].cqi, 12);
+  EXPECT_EQ(rows[0].queue_bytes, ue->stats.rlc_queue_bytes);
+  EXPECT_NEAR(rows[0].cqi_avg, ue->cqi_avg.value(), 1e-9);
 
   proto::HandoverCommand command;
   command.rnti = rnti;
@@ -284,7 +354,7 @@ TEST(MasterEndToEnd, HotColumnsMirrorUeStats) {
   ASSERT_TRUE(testbed.master().send_handover(enb.agent_id, command).ok());
   testbed.run_ttis(10);
   EXPECT_EQ(testbed.master().rib().find_ue(enb.agent_id, rnti), nullptr);
-  EXPECT_EQ(agent->hot.size(), 0u);
+  EXPECT_EQ(monitoring->summaries().at(enb.agent_id).ue_count, 0u);
 }
 
 TEST(MasterEndToEnd, RibTracksDetachOnHandoverEvent) {

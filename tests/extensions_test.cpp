@@ -147,7 +147,8 @@ TEST(RibView, SummariesAndLoadHelpers) {
   auto& agent2 = rib.agent(2);
   agent2.cells[2].stats.active_ues = 1;
 
-  const auto summaries = ctrl::summarize_ues(rib);
+  const auto snapshot = ctrl::RibSnapshot::capture(rib);
+  const auto summaries = ctrl::summarize_ues(*snapshot);
   ASSERT_EQ(summaries.size(), 1u);
   EXPECT_EQ(summaries[0].rnti, 70);
   EXPECT_EQ(summaries[0].cqi, 11);
@@ -157,8 +158,8 @@ TEST(RibView, SummariesAndLoadHelpers) {
   EXPECT_DOUBLE_EQ(summaries[0].best_neighbor_rsrp_dbm, -75.0);
 
   EXPECT_DOUBLE_EQ(ctrl::cell_dl_utilization(agent1.cells[1]), 0.5);
-  ASSERT_TRUE(ctrl::least_loaded_agent(rib).has_value());
-  EXPECT_EQ(*ctrl::least_loaded_agent(rib), 2u);
+  ASSERT_TRUE(ctrl::least_loaded_agent(*snapshot).has_value());
+  EXPECT_EQ(*ctrl::least_loaded_agent(*snapshot), 2u);
 }
 
 TEST(RibView, AnalyticsDerivesRates) {
@@ -170,14 +171,14 @@ TEST(RibView, AnalyticsDerivesRates) {
 
   ctrl::RibAnalytics analytics;
   ue.stats.dl_bytes_delivered = 0;
-  analytics.sample(rib, 0);
+  analytics.sample(*ctrl::RibSnapshot::capture(rib), 0);
   EXPECT_DOUBLE_EQ(analytics.ue_dl_rate_mbps(1, 70), 0.0);
   // 1 MB in one second = 8 Mb/s.
   ue.stats.dl_bytes_delivered = 1'000'000;
-  analytics.sample(rib, sim::from_seconds(1.0));
+  analytics.sample(*ctrl::RibSnapshot::capture(rib), sim::from_seconds(1.0));
   EXPECT_NEAR(analytics.ue_dl_rate_mbps(1, 70), 8.0, 0.01);
   // Rate decays when delivery stops.
-  analytics.sample(rib, sim::from_seconds(2.0));
+  analytics.sample(*ctrl::RibSnapshot::capture(rib), sim::from_seconds(2.0));
   EXPECT_LT(analytics.ue_dl_rate_mbps(1, 70), 8.0);
 }
 
@@ -711,7 +712,7 @@ TEST(NonRealTime, CoarseCycleMasterStillManagesAgents) {
   ctrl::MasterConfig config = scenario::per_tti_master_config(10);
   config.task_manager.real_time = false;
   config.task_manager.cycle_us = 10'000;
-  ctrl::MasterController master(simulator, config);
+  ctrl::ShardCore master(simulator, config);
 
   lte::EnbConfig enb_config;
   enb_config.enb_id = 1;

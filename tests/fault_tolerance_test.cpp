@@ -400,7 +400,7 @@ TEST(RequestTracking, RemoveAgentPurgesQueuesAndInflight) {
   sim::Simulator sim;
   ctrl::MasterConfig config = scenario::per_tti_master_config();
   config.request_timeout_us = sim::from_ms(50);
-  ctrl::MasterController master(sim, config);
+  ctrl::ShardCore master(sim, config);
   auto* recorder =
       static_cast<LifecycleRecorder*>(master.add_app(std::make_unique<LifecycleRecorder>()));
   auto link_a = net::make_sim_transport_pair(sim);
