@@ -414,6 +414,7 @@ int check_against(const Results& res, const std::string& path) {
       {"decode_into_allocs_per_msg", res.decode_into_allocs},
       {"frame_reassemble_allocs_per_msg", res.frame_allocs},
       {"wire_loop_allocs_per_msg", res.loop_allocs},
+      {"ingest_apply_allocs_per_msg", res.ingest_allocs},
   };
   int failures = 0;
   for (const auto& [key, limit] : baseline) {

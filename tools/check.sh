@@ -48,7 +48,8 @@ else
   # counts heap allocations per message on the steady-state encode /
   # decode / frame+reassemble paths via a counting operator-new hook.
   # Counts are exact and machine-independent, so any regression above
-  # bench/wire_alloc_baseline.txt (currently all zeros) fails the gate.
+  # bench/wire_alloc_baseline.txt (zeros for the wire stages, the exact
+  # current count for ingest->apply) fails the gate.
   echo "== bench_wire allocation gate"
   "${build_dir}/bench/bench_wire" --check="${repo_root}/bench/wire_alloc_baseline.txt" \
     "${build_dir}/BENCH_wire.json"
