@@ -1,5 +1,9 @@
 #include "proto/checkpoint.h"
 
+#include <limits>
+
+#include "proto/decode_helpers.h"
+
 namespace flexran::proto {
 
 namespace {
@@ -8,64 +12,22 @@ using util::Error;
 using util::Result;
 using util::Status;
 
-/// Local copy of the messages.cpp decode-loop helper (that one lives in an
-/// anonymous namespace): iterates fields, dispatching to `handler`, which
-/// returns false for unknown fields (skipped, forward-compatible).
-template <typename Handler>
-Status decode_fields(std::span<const std::uint8_t> data, Handler&& handler) {
-  WireDecoder dec(data);
-  while (!dec.done()) {
-    auto header = dec.next_field();
-    if (!header.ok()) return header.error();
-    auto handled = handler(dec, *header);
-    if (!handled.ok()) return handled.error();
-    if (!*handled) {
-      auto skipped = dec.skip(header->type);
-      if (!skipped.ok()) return skipped;
-    }
-  }
-  return {};
-}
+using namespace detail;
 
-Result<std::uint64_t> expect_varint(WireDecoder& dec, const WireDecoder::FieldHeader& header) {
-  if (header.type != WireType::varint) return Error::decode_failure("expected varint");
-  return dec.read_varint();
-}
-
-Result<std::string> expect_string(WireDecoder& dec, const WireDecoder::FieldHeader& header) {
-  if (header.type != WireType::length_delimited) return Error::decode_failure("expected bytes");
-  return dec.read_string();
-}
-
-Result<std::span<const std::uint8_t>> expect_bytes(WireDecoder& dec,
-                                                   const WireDecoder::FieldHeader& header) {
-  if (header.type != WireType::length_delimited) return Error::decode_failure("expected bytes");
-  return dec.read_bytes();
-}
-
-#define ASSIGN_VARINT(target, cast_type)                   \
-  do {                                                     \
-    auto v_ = expect_varint(dec, header);                  \
-    if (!v_.ok()) return Result<bool>(v_.error());         \
-    (target) = static_cast<cast_type>(*v_);                \
-  } while (0)
-
-WireEncoder encode_agent(const CheckpointAgent& agent) {
-  WireEncoder enc;
+void encode_agent(WireEncoder& enc, const CheckpointAgent& agent) {
   enc.field_varint(1, agent.id);
   enc.field_string(2, agent.name);
   for (const auto& cap : agent.capabilities) enc.field_string(3, cap);
   if (agent.epoch != 0) enc.field_varint(4, agent.epoch);
-  WireEncoder config;
-  agent.config.encode_body(config);
-  enc.field_message(5, config);
+  const auto config = enc.begin_message(5);
+  agent.config.encode_body(enc);
+  enc.end_message(config);
   for (const auto& report : agent.reports) {
-    WireEncoder sub;
-    report.encode_body(sub);
-    enc.field_message(6, sub);
+    const auto mark = enc.begin_message(6);
+    report.encode_body(enc);
+    enc.end_message(mark);
   }
   for (const auto& policy : agent.policy_history) enc.field_string(7, policy);
-  return enc;
 }
 
 Result<CheckpointAgent> decode_agent(std::span<const std::uint8_t> data) {
@@ -123,7 +85,11 @@ std::vector<std::uint8_t> MasterCheckpoint::encode() const {
   enc.field_varint(1, version);
   if (incarnation != 0) enc.field_varint(2, incarnation);
   if (saved_at_us != 0) enc.field_varint(3, saved_at_us);
-  for (const auto& agent : agents) enc.field_message(4, encode_agent(agent));
+  for (const auto& agent : agents) {
+    const auto mark = enc.begin_message(4);
+    encode_agent(enc, agent);
+    enc.end_message(mark);
+  }
   // Shard identity rides as `shard + 1` so the standalone default (-1)
   // stays off the wire and old checkpoints decode to it.
   if (shard >= 0) enc.field_varint(5, static_cast<std::uint64_t>(shard) + 1);
@@ -155,7 +121,13 @@ Result<MasterCheckpoint> MasterCheckpoint::decode(std::span<const std::uint8_t> 
       case 5: {
         std::uint64_t stamped = 0;
         ASSIGN_VARINT(stamped, std::uint64_t);
-        if (stamped != 0) out.shard = static_cast<int>(stamped - 1);
+        if (stamped == 0) return true;
+        // A stamp with no int shard index behind it is corrupt or foreign;
+        // truncating it could alias a real shard and pass its gate.
+        if (stamped - 1 > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+          return Result<bool>(Error::decode_failure("checkpoint shard stamp out of range"));
+        }
+        out.shard = static_cast<int>(stamped - 1);
         return true;
       }
       case 6: {

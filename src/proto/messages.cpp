@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "proto/decode_helpers.h"
+
 namespace flexran::proto {
 
 namespace {
@@ -10,59 +12,7 @@ using util::Error;
 using util::Result;
 using util::Status;
 
-/// Shared decode-loop helper: iterates fields, dispatching to `handler`
-/// (returns false if the field is unknown, in which case it is skipped).
-template <typename Handler>
-Status decode_fields(std::span<const std::uint8_t> data, Handler&& handler) {
-  WireDecoder dec(data);
-  while (!dec.done()) {
-    auto header = dec.next_field();
-    if (!header.ok()) return header.error();
-    auto handled = handler(dec, *header);
-    if (!handled.ok()) return handled.error();
-    if (!*handled) {
-      auto skipped = dec.skip(header->type);
-      if (!skipped.ok()) return skipped;
-    }
-  }
-  return {};
-}
-
-Result<std::uint64_t> expect_varint(WireDecoder& dec, const WireDecoder::FieldHeader& header) {
-  if (header.type != WireType::varint) return Error::decode_failure("expected varint");
-  return dec.read_varint();
-}
-
-Result<std::string> expect_string(WireDecoder& dec, const WireDecoder::FieldHeader& header) {
-  if (header.type != WireType::length_delimited) return Error::decode_failure("expected bytes");
-  return dec.read_string();
-}
-
-Result<std::span<const std::uint8_t>> expect_bytes(WireDecoder& dec,
-                                                   const WireDecoder::FieldHeader& header) {
-  if (header.type != WireType::length_delimited) return Error::decode_failure("expected bytes");
-  return dec.read_bytes();
-}
-
-Result<double> expect_double(WireDecoder& dec, const WireDecoder::FieldHeader& header) {
-  if (header.type != WireType::fixed64) return Error::decode_failure("expected fixed64");
-  return dec.read_double();
-}
-
-// Sugar: assign-or-propagate for the common varint case.
-#define ASSIGN_VARINT(target, cast_type)                   \
-  do {                                                     \
-    auto v_ = expect_varint(dec, header);                  \
-    if (!v_.ok()) return Result<bool>(v_.error());         \
-    (target) = static_cast<cast_type>(*v_);                \
-  } while (0)
-
-#define ASSIGN_SVARINT(target)                              \
-  do {                                                      \
-    auto v_ = expect_varint(dec, header);                   \
-    if (!v_.ok()) return Result<bool>(v_.error());          \
-    (target) = zigzag_decode(*v_);                          \
-  } while (0)
+using namespace detail;
 
 }  // namespace
 

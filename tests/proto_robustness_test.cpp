@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -399,6 +400,27 @@ TEST(ProtoRobustness, CheckpointShardIdentityRoundTrips) {
   ASSERT_TRUE(standalone_decoded.ok());
   EXPECT_EQ(standalone_decoded->shard, -1);
   EXPECT_TRUE(standalone_decoded->agent_ids.empty());
+}
+
+// A shard stamp that maps to no int shard index is corrupt or foreign. It
+// must fail decoding instead of wrapping: 2^32 + 1 truncated to int would
+// read as shard 0 and pass shard 0's wrong-shard gate.
+TEST(ProtoRobustness, CheckpointOutOfRangeShardStampIsRejected) {
+  for (const std::uint64_t stamp :
+       {(std::uint64_t{1} << 32) + 1, (std::uint64_t{1} << 31) + 1, ~std::uint64_t{0}}) {
+    WireEncoder enc;
+    enc.field_varint(1, MasterCheckpoint::kVersion);
+    enc.field_varint(5, stamp);
+    auto decoded = MasterCheckpoint::decode(enc.bytes());
+    ASSERT_FALSE(decoded.ok()) << "stamp=" << stamp << " shard=" << decoded->shard;
+    EXPECT_EQ(decoded.error().code, util::Error::Code::decode_failure) << "stamp=" << stamp;
+  }
+  // The largest int shard index still round-trips.
+  MasterCheckpoint top;
+  top.shard = std::numeric_limits<int>::max();
+  auto top_decoded = MasterCheckpoint::decode(top.encode());
+  ASSERT_TRUE(top_decoded.ok());
+  EXPECT_EQ(top_decoded->shard, std::numeric_limits<int>::max());
 }
 
 // The zero-allocation receive paths (docs/wire_fastpath.md) decode into a

@@ -4,6 +4,7 @@
 
 #include "net/framing.h"
 #include "proto/accounting.h"
+#include "proto/checkpoint.h"
 #include "proto/messages.h"
 #include "proto/wire.h"
 
@@ -676,14 +677,15 @@ TEST(WireFastPath, ReusedEncoderMatchesFreshAcrossAllMessageTypes) {
 TEST(WireFastPath, BackpatchMatchesFieldMessageAcrossLengthBoundary) {
   // Nested payloads around the 1-byte/2-byte length-prefix boundary (127 /
   // 128) and well past it: begin/end_message must emit exactly what the
-  // legacy two-encoder field_message path emits, including the widened
+  // legacy two-encoder path (sub-message copied in via field_bytes) emits,
+  // including the widened
   // minimal varint prefix.
   for (std::size_t payload_len : {0u, 1u, 126u, 127u, 128u, 129u, 300u, 16383u, 16384u}) {
     const std::vector<std::uint8_t> payload(payload_len, 0x5a);
     WireEncoder legacy;
     WireEncoder sub;
     for (auto b : payload) sub.field_varint(1, b);
-    legacy.field_message(7, sub);
+    legacy.field_bytes(7, sub.bytes());
 
     WireEncoder arena;
     const auto mark = arena.begin_message(7);
@@ -706,8 +708,8 @@ TEST(WireFastPath, DeeplyNestedBackpatchIsByteIdenticalToLegacy) {
     for (int i = 0; i < 100; ++i) inner.field_varint(1, 200 + i);
     WireEncoder outer;
     outer.field_varint(1, 70);
-    outer.field_message(10, inner);
-    legacy.field_message(3, outer);
+    outer.field_bytes(10, inner.bytes());
+    legacy.field_bytes(3, outer.bytes());
   }
   WireEncoder arena;
   {
@@ -722,6 +724,78 @@ TEST(WireFastPath, DeeplyNestedBackpatchIsByteIdenticalToLegacy) {
   const auto a = arena.bytes();
   const auto l = legacy.bytes();
   EXPECT_TRUE(std::equal(a.begin(), a.end(), l.begin()));
+}
+
+TEST(WireFastPath, CheckpointNestedEncodeMatchesFieldBytesReference) {
+  // MasterCheckpoint encodes its agent, config and report sub-messages in
+  // place (begin/end_message). Its bytes must equal the two-encoder
+  // reference that builds each sub-message separately and copies it in via
+  // field_bytes, including sub-messages past the 1-byte length prefix.
+  MasterCheckpoint checkpoint;
+  checkpoint.incarnation = 4;
+  checkpoint.saved_at_us = 3'000'000;
+  checkpoint.shard = 2;
+  checkpoint.agent_ids = {5, 9};
+  for (const std::uint32_t id : {5u, 9u}) {
+    CheckpointAgent agent;
+    agent.id = id;
+    agent.name = "macro-" + std::to_string(id);
+    agent.capabilities = {"mac", "rrc", "delegation"};
+    agent.epoch = 3;
+    agent.config.enb_id = id;
+    for (int c = 0; c < 6; ++c) {
+      CellConfigMsg cell;
+      cell.cell_id = static_cast<lte::CellId>(c + 1);
+      cell.bandwidth_mhz = 20.0;
+      cell.pci = static_cast<std::uint16_t>(300 + c);
+      agent.config.cells.push_back(cell);
+    }
+    StatsRequest report;
+    report.request_id = 11;
+    report.mode = ReportMode::periodic;
+    report.periodicity_ttis = 1;
+    report.flags = stats_flags::kAll;
+    for (lte::Rnti rnti = 70; rnti < 140; ++rnti) report.ues.push_back(rnti);
+    agent.reports.push_back(report);
+    agent.policy_history.push_back(std::string(150, 'p'));
+    checkpoint.agents.push_back(agent);
+  }
+
+  WireEncoder reference;
+  reference.field_varint(1, checkpoint.version);
+  reference.field_varint(2, checkpoint.incarnation);
+  reference.field_varint(3, checkpoint.saved_at_us);
+  for (const auto& agent : checkpoint.agents) {
+    WireEncoder sub;
+    sub.field_varint(1, agent.id);
+    sub.field_string(2, agent.name);
+    for (const auto& cap : agent.capabilities) sub.field_string(3, cap);
+    sub.field_varint(4, agent.epoch);
+    WireEncoder config;
+    agent.config.encode_body(config);
+    ASSERT_GE(config.size(), 128u);
+    sub.field_bytes(5, config.bytes());
+    for (const auto& report : agent.reports) {
+      WireEncoder body;
+      report.encode_body(body);
+      ASSERT_GE(body.size(), 128u);
+      sub.field_bytes(6, body.bytes());
+    }
+    for (const auto& policy : agent.policy_history) sub.field_string(7, policy);
+    ASSERT_GE(sub.size(), 128u);
+    reference.field_bytes(4, sub.bytes());
+  }
+  reference.field_varint(5, static_cast<std::uint64_t>(checkpoint.shard) + 1);
+  for (const auto id : checkpoint.agent_ids) reference.field_varint(6, id);
+
+  const auto encoded = checkpoint.encode();
+  const auto expected = reference.bytes();
+  ASSERT_EQ(encoded.size(), expected.size());
+  EXPECT_TRUE(std::equal(encoded.begin(), encoded.end(), expected.begin()));
+  auto decoded = MasterCheckpoint::decode(encoded);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded->agents.size(), 2u);
+  EXPECT_EQ(decoded->agents[1].reports[0].ues.size(), 70u);
 }
 
 TEST(WireFastPath, DecodeIntoMatchesFreshDecode) {
@@ -782,7 +856,7 @@ TEST(WireFastPath, TrailingBsrEntriesAreCountedNotDropped) {
   WireEncoder reply_body;
   reply_body.field_varint(1, 8);   // request_id
   reply_body.field_svarint(2, 1);  // subframe
-  reply_body.field_message(3, body);
+  reply_body.field_bytes(3, body.bytes());
 
   const auto before = decode_anomalies().bsr_overflow.load();
   auto decoded = StatsReply::decode_body(reply_body.bytes());
