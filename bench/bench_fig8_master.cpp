@@ -73,11 +73,12 @@ MasterLoad run(int n_agents, double seconds) {
 /// 0-agent case: the master alone, cycled manually.
 MasterLoad run_empty(double seconds) {
   sim::Simulator simulator;
-  ctrl::ShardCore master(simulator, scenario::per_tti_master_config());
+  ctrl::Coordinator coordinator(simulator, {.shard = scenario::per_tti_master_config()});
+  ctrl::ShardCore& master = coordinator.shard(0);
   master.add_app(std::make_unique<apps::RemoteSchedulerApp>());
   master.add_app(std::make_unique<apps::MonitoringApp>(100));
   sim::TtiTicker ticker(simulator);
-  ticker.subscribe([&](std::int64_t) { master.run_cycle(); });
+  ticker.subscribe([&](std::int64_t) { coordinator.run_cycle(); });
   ticker.start();
   simulator.run_until(sim::from_seconds(seconds));
 

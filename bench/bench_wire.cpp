@@ -4,7 +4,7 @@
 // hot path: nested-message encode (legacy per-sub-message encoders vs. the
 // arena/backpatch path), envelope decode (fresh vs. decode_into reuse),
 // frame + reassemble, the full encode->frame->reassemble->decode loop, and
-// ingest->apply through a standalone ShardCore over sim transports.
+// ingest->apply through a one-shard Coordinator over sim transports.
 //
 // Allocations are counted by a global operator-new hook, so the numbers are
 // exact, deterministic, and independent of machine speed -- which is why
@@ -14,7 +14,7 @@
 //   bench_wire [BENCH_wire.json]                       # report + JSON
 //
 // The legacy encode baseline replicates the pre-change encoding (a fresh
-// WireEncoder per sub-message, copied into the parent via field_message,
+// WireEncoder per sub-message, copied into the parent via field_bytes,
 // body vector + Envelope::encode) and is verified byte-identical to the
 // arena path before anything is timed.
 #include <atomic>
@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "controller/shard_core.h"
+#include "controller/coordinator.h"
 #include "net/framing.h"
 #include "net/sim_transport.h"
 #include "proto/messages.h"
@@ -130,7 +130,7 @@ proto::StatsReply make_reply() {
 
 // Pre-change nested encode, kept verbatim as the in-bench baseline: one
 // fresh WireEncoder per sub-message, copied into its parent via
-// field_message, then an owned body vector copied into Envelope::encode.
+// field_bytes, then an owned body vector copied into Envelope::encode.
 // Field order matches src/proto/messages.cpp so output stays byte-identical.
 void legacy_encode_ue_report(proto::WireEncoder& parent, int field,
                              const proto::UeStatsReport& r) {
@@ -149,9 +149,9 @@ void legacy_encode_ue_report(proto::WireEncoder& parent, int field,
     proto::WireEncoder sub;
     sub.field_varint(1, m.cell_id);
     sub.field_svarint(2, std::llround(m.rsrp_dbm * 100.0));
-    enc.field_message(10, sub);
+    enc.field_bytes(10, sub.bytes());
   }
-  parent.field_message(field, enc);
+  parent.field_bytes(field, enc.bytes());
 }
 
 std::vector<std::uint8_t> legacy_encode(const proto::StatsReply& reply) {
@@ -166,7 +166,7 @@ std::vector<std::uint8_t> legacy_encode(const proto::StatsReply& reply) {
     enc.field_varint(3, c.dl_prbs_in_use);
     enc.field_varint(4, c.ul_prbs_in_use);
     enc.field_varint(5, c.active_ues);
-    body.field_message(4, enc);
+    body.field_bytes(4, enc.bytes());
   }
   proto::Envelope envelope;
   envelope.type = proto::MessageType::stats_reply;
@@ -350,27 +350,27 @@ Results run_bench() {
     if (received == 0) std::printf("unreachable\n");
   }
 
-  // ---- ingest -> apply through a standalone ShardCore ----
+  // ---- ingest -> apply through a one-shard Coordinator ----
   {
     sim::Simulator sim;
-    ctrl::MasterConfig config;
-    config.auto_configure = false;
-    config.echo_period_cycles = 0;
-    ctrl::ShardCore core(sim, config);
+    ctrl::CoordinatorConfig config;
+    config.shard.auto_configure = false;
+    config.shard.echo_period_cycles = 0;
+    ctrl::Coordinator coordinator(sim, config);
     auto pair = net::make_sim_transport_pair(sim);
-    core.add_agent(*pair.a);
+    coordinator.add_agent(*pair.a);
 
     proto::Hello hello;
     hello.enb_id = 1;
     hello.name = "bench";
     (void)pair.b->send(net::TrafficClass::session, proto::pack(hello, 1));
     sim.run();
-    core.run_cycle();
+    coordinator.run_cycle();
 
     const auto send_one = [&] {
       (void)pair.b->send(net::TrafficClass::stats, wire);
       sim.run();
-      core.run_cycle();
+      coordinator.run_cycle();
     };
     for (std::uint64_t i = 0; i < kWarmup; ++i) send_one();
     const auto allocs0 = g_allocs.load();
@@ -464,7 +464,7 @@ int main(int argc, char** argv) {
   flexran::bench::print_note(
       "StatsReply with 16 UE reports (2 RSRP entries each) + 1 cell report.\n"
       "Legacy = pre-change nested encode (fresh encoder per sub-message,\n"
-      "field_message copies, owned body vector); arena = reused encoder with\n"
+      "field_bytes copies, owned body vector); arena = reused encoder with\n"
       "length-prefix backpatching. Outputs verified byte-identical.");
   std::printf("\nwire size: %zu bytes\n\n", res.wire_bytes);
   std::printf("%-34s %10s %14s\n", "stage", "ns/op", "allocs/msg");
@@ -478,7 +478,7 @@ int main(int argc, char** argv) {
   std::printf("%-34s %10.1f %14.4f\n", "frame + reassemble", res.frame_ns, res.frame_allocs);
   std::printf("%-34s %10.1f %14.4f\n", "wire loop (enc+frame+asm+dec)", res.loop_ns,
               res.loop_allocs);
-  std::printf("%-34s %10.1f %14.4f\n", "ingest -> apply (ShardCore)", res.ingest_ns,
+  std::printf("%-34s %10.1f %14.4f\n", "ingest -> apply (Coordinator)", res.ingest_ns,
               res.ingest_allocs);
 
   char buffer[1024];

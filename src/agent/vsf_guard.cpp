@@ -19,10 +19,10 @@ std::int64_t elapsed_us(std::chrono::steady_clock::time_point start) {
 VsfGuard::InvokeOutcome VsfGuard::invoke_checked(const Vsf& vsf,
                                                  const std::function<void()>& body) {
   const std::int64_t declared = vsf.declared_cost_us();
-  if (declared > config_.budget_us) {
+  if (declared > kVsfBudgetUs) {
     return {proto::VsfFailureKind::overrun,
             "declared cost " + std::to_string(declared) + "us exceeds TTI budget " +
-                std::to_string(config_.budget_us) + "us"};
+                std::to_string(kVsfBudgetUs) + "us"};
   }
   const auto start = std::chrono::steady_clock::now();
   try {
@@ -32,10 +32,10 @@ VsfGuard::InvokeOutcome VsfGuard::invoke_checked(const Vsf& vsf,
   } catch (...) {
     return {proto::VsfFailureKind::exception, "non-standard exception"};
   }
-  if (const std::int64_t wall = elapsed_us(start); wall > config_.wall_clock_cap_us) {
+  if (const std::int64_t wall = elapsed_us(start); wall > kVsfWallClockCapUs) {
     return {proto::VsfFailureKind::overrun,
             "wall clock " + std::to_string(wall) + "us exceeds cap " +
-                std::to_string(config_.wall_clock_cap_us) + "us"};
+                std::to_string(kVsfWallClockCapUs) + "us"};
   }
   return {};
 }
@@ -123,7 +123,7 @@ void VsfGuard::note_failure(ControlModule& module, const std::string& slot,
   record.detail = outcome.detail;
   record.consecutive_failures = cache_->record_failure(module.name(), slot, impl);
 
-  if (record.consecutive_failures >= config_.quarantine_threshold &&
+  if (record.consecutive_failures >= kVsfQuarantineThreshold &&
       !cache_->is_quarantined(module.name(), slot, impl)) {
     cache_->quarantine(module.name(), slot, impl);
     ++quarantines_;

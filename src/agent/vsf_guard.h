@@ -14,7 +14,7 @@
 //      scheduling opportunity.
 //
 // Failures are counted per cached implementation; after
-// `quarantine_threshold` consecutive failures the implementation is
+// kVsfQuarantineThreshold consecutive failures the implementation is
 // quarantined in the VsfCache (policy reconfiguration to it is rejected
 // until the master pushes a fresh VSF updation) and the slot is relinked
 // to the fallback implementation. The failure hook lets the Agent turn
@@ -32,17 +32,15 @@
 
 namespace flexran::agent {
 
-struct VsfGuardConfig {
-  /// Consecutive failures of one implementation before quarantine.
-  std::uint32_t quarantine_threshold = 3;
-  /// Simulated-time budget per invocation, charged from declared_cost_us().
-  /// Default: one 1 ms TTI.
-  std::int64_t budget_us = 1000;
-  /// Wall-clock backstop for real (undeclared) overruns. Deliberately
-  /// generous so legitimate schedulers never trip it under sanitizers or
-  /// debug builds; an infinite loop still gets caught.
-  std::int64_t wall_clock_cap_us = 250'000;
-};
+/// Consecutive failures of one implementation before quarantine.
+inline constexpr std::uint32_t kVsfQuarantineThreshold = 3;
+/// Simulated-time budget per invocation, charged from declared_cost_us():
+/// one 1 ms TTI.
+inline constexpr std::int64_t kVsfBudgetUs = 1000;
+/// Wall-clock backstop for real (undeclared) overruns. Deliberately
+/// generous so legitimate schedulers never trip it under sanitizers or
+/// debug builds; an infinite loop still gets caught.
+inline constexpr std::int64_t kVsfWallClockCapUs = 250'000;
 
 /// One guard verdict, delivered to the failure hook (and from there to the
 /// master as a triggered event).
@@ -61,10 +59,9 @@ class VsfGuard {
  public:
   using FailureHook = std::function<void(const VsfFailureRecord&)>;
 
-  VsfGuard(VsfGuardConfig config, VsfCache& cache) : config_(config), cache_(&cache) {}
+  explicit VsfGuard(VsfCache& cache) : cache_(&cache) {}
 
   void set_failure_hook(FailureHook hook) { hook_ = std::move(hook); }
-  const VsfGuardConfig& config() const { return config_; }
 
   /// Guarded invocation of the MAC DL / UL scheduling slots. Always returns
   /// a decision that is safe to hand to the MAC (possibly empty).
@@ -122,7 +119,6 @@ class VsfGuard {
       AgentApi& api, std::int64_t subframe,
       const std::function<lte::SchedulingDecision(Vsf&)>& invoke);
 
-  VsfGuardConfig config_;
   VsfCache* cache_;  // not owned
   FailureHook hook_;
 

@@ -31,18 +31,15 @@ Coordinator::Coordinator(sim::Simulator& sim, CoordinatorConfig config)
   shards_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     MasterConfig shard_config = config_.shard;
-    if (count > 1) {
-      // Multi-shard: label every metric identity with the shard index and
-      // share one registry so the process exports a single surface.
-      shard_config.shard = static_cast<int>(i);
-      if (shard_config.obs.enabled && shard_config.obs.registry == nullptr) {
-        shard_config.obs.registry = &metrics_;
-      }
-    }
     if (config_.checkpoint_sink_factory) {
       shard_config.recovery.checkpoint_sink = config_.checkpoint_sink_factory(i);
     }
-    shards_.push_back(std::make_unique<ShardCore>(sim_, std::move(shard_config)));
+    // Every shard registers in the one shared registry. Several shards
+    // label their metrics and stamp their checkpoints with their index; a
+    // lone shard keeps -1, so its names stay unlabelled and its
+    // checkpoints unstamped.
+    const int index = count > 1 ? static_cast<int>(i) : -1;
+    shards_.push_back(std::make_unique<ShardCore>(sim_, std::move(shard_config), index, metrics_));
   }
   shard_states_.resize(count);
   if (count > 1 && config_.shard.obs.enabled) register_failover_probes();
@@ -611,14 +608,6 @@ sim::TimeUs Coordinator::last_recovery_duration() const {
     longest = std::max(longest, shard->last_recovery_duration());
   }
   return longest;
-}
-
-obs::MetricsRegistry& Coordinator::metrics() {
-  return shards_.size() == 1 ? shards_.front()->metrics() : metrics_;
-}
-
-const obs::MetricsRegistry& Coordinator::metrics() const {
-  return shards_.size() == 1 ? shards_.front()->metrics() : metrics_;
 }
 
 const char* to_string(Coordinator::ShardHealth health) {

@@ -30,9 +30,7 @@ namespace flexran::ctrl {
 struct CoordinatorConfig {
   /// Number of ShardCore instances (>= 1; 0 is clamped to 1).
   std::size_t shards = 1;
-  /// Per-shard configuration template. The Coordinator stamps each copy
-  /// with its shard index (metric labels) and, with more than one shard
-  /// and obs enabled, points every copy at the shared registry.
+  /// Per-shard configuration template, copied into every shard.
   MasterConfig shard;
   /// Per-shard checkpoint sink factory (nullptr = every shard keeps the
   /// template's `recovery.checkpoint_sink`, which N > 1 shards would
@@ -218,10 +216,10 @@ class Coordinator final : public NorthboundApi {
   std::uint64_t composites_built() const { return composites_built_; }
 
   // ---- observability ----------------------------------------------------------
-  /// The process-wide registry: the shared one (shards > 1) or shard 0's
-  /// own. One export surface regardless of the shard count.
-  obs::MetricsRegistry& metrics();
-  const obs::MetricsRegistry& metrics() const;
+  /// The process-wide registry every shard registers in: one export
+  /// surface regardless of the shard count.
+  obs::MetricsRegistry& metrics() { return metrics_; }
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
   /// Everything the Coordinator must remember per agent to re-home it: the
@@ -275,9 +273,7 @@ class Coordinator final : public NorthboundApi {
 
   sim::Simulator& sim_;
   CoordinatorConfig config_;
-  /// Shared registry for shards > 1 (ObsConfig::registry); unused with a
-  /// single shard, which keeps its own registry exactly like a standalone
-  /// master.
+  /// Shared by every shard; declared before shards_ so it outlives them.
   obs::MetricsRegistry metrics_;
   std::vector<std::unique_ptr<ShardCore>> shards_;
   std::vector<ShardState> shard_states_;

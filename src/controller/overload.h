@@ -35,19 +35,20 @@ struct OverloadConfig {
   net::QueueBudget ingest;
   /// Sliding window length, in task-manager cycles.
   std::size_t window_cycles = 50;
-  /// Queue depth fraction (messages or bytes, whichever is fuller) at
-  /// which the state becomes at least elevated / critical.
-  double elevated_watermark = 0.5;
-  double critical_watermark = 0.85;
   /// Consecutive clean cycles before de-escalating one level.
   std::size_t recovery_cycles = 100;
-  /// Report-period multipliers applied on entering each state; while
-  /// critical persists with continued shedding, the multiplier doubles
-  /// each full window up to max_backoff.
-  std::uint32_t elevated_backoff = 2;
-  std::uint32_t critical_backoff = 4;
-  std::uint32_t max_backoff = 16;
 };
+
+/// Queue depth fraction (messages or bytes, whichever is fuller) at which
+/// the state becomes at least elevated / critical.
+inline constexpr double kElevatedWatermark = 0.5;
+inline constexpr double kCriticalWatermark = 0.85;
+/// Report-period multipliers applied on entering each state; while
+/// critical persists with continued shedding, the multiplier doubles each
+/// full window up to kMaxBackoff.
+inline constexpr std::uint32_t kElevatedBackoff = 2;
+inline constexpr std::uint32_t kCriticalBackoff = 4;
+inline constexpr std::uint32_t kMaxBackoff = 16;
 
 /// One cycle's observation, taken after the updater slot drained.
 struct OverloadSample {

@@ -38,9 +38,12 @@ std::uint64_t ingest_key(AgentId agent, std::uint64_t kind, std::uint32_t reques
 
 }  // namespace
 
-ShardCore::ShardCore(sim::Simulator& sim, MasterConfig config)
+ShardCore::ShardCore(sim::Simulator& sim, MasterConfig config, int shard,
+                     obs::MetricsRegistry& registry)
     : sim_(sim),
       config_(std::move(config)),
+      shard_(shard),
+      registry_(registry),
       task_manager_(
           config_.task_manager,
           [this](std::int64_t budget_us) {
@@ -53,8 +56,7 @@ ShardCore::ShardCore(sim::Simulator& sim, MasterConfig config)
           },
           [this] { dispatch_events(); }),
       overload_monitor_(config_.overload),
-      trace_ring_(config_.obs.trace_cycles) {
-  if (config_.obs.registry != nullptr) registry_ = config_.obs.registry;
+      trace_ring_(kTraceCycles) {
   pending_.set_budget(config_.overload.ingest);
   if (config_.obs.enabled) {
     task_manager_.set_trace_sink(&trace_ring_);
@@ -65,10 +67,7 @@ ShardCore::ShardCore(sim::Simulator& sim, MasterConfig config)
   task_manager_.set_command_hooks(BatchingNorthbound::Hooks{
       // Enqueue-time arbitration (worker threads; the arbiter is
       // thread-safe) so apps observe conflicts synchronously...
-      [this](AgentId agent, const proto::DlMacConfig& dl) -> util::Status {
-        if (!config_.conflict_resolution) return {};
-        return arbiter_.claim_dl(agent, dl);
-      },
+      [this](AgentId agent, const proto::DlMacConfig& dl) { return arbiter_.claim_dl(agent, dl); },
       // ...and the flush-time send skips the claim it already made.
       [this](AgentId agent, const proto::DlMacConfig& dl) { return send_to(agent, dl); },
   });
@@ -88,9 +87,7 @@ ShardCore::ShardCore(sim::Simulator& sim, MasterConfig config)
 
 ShardCore::~ShardCore() { task_manager_.shutdown(); }
 
-AgentId ShardCore::add_agent(net::Transport& transport, AgentId explicit_id) {
-  const AgentId id = explicit_id != 0 ? explicit_id : next_agent_id_++;
-  if (explicit_id != 0 && explicit_id >= next_agent_id_) next_agent_id_ = explicit_id + 1;
+void ShardCore::add_agent(net::Transport& transport, AgentId id) {
   links_[id].transport = &transport;
   // The frame span is only valid for the callback: Envelope::decode copies
   // the body into the owned envelope the ingest queue keeps.
@@ -125,7 +122,6 @@ AgentId ShardCore::add_agent(net::Transport& transport, AgentId explicit_id) {
   dirty_agents_.insert(id);
   rib_structure_changed_ = true;
   if (config_.obs.enabled) register_agent_probes(id);
-  return id;
 }
 
 void ShardCore::remove_agent(AgentId id) {
@@ -160,10 +156,8 @@ void ShardCore::run_cycle() {
     throw std::runtime_error("injected shard cycle fault");
   }
   const std::int64_t cycle = task_manager_.cycles_run();
-  if (config_.conflict_resolution) {
-    for (const auto& [id, agent] : rib_.agents()) {
-      arbiter_.prune_before(id, agent.last_subframe);
-    }
+  for (const auto& [id, agent] : rib_.agents()) {
+    arbiter_.prune_before(id, agent.last_subframe);
   }
   if (config_.agent_timeout_us > 0) {
     for (auto& [id, link] : links_) {
@@ -276,9 +270,9 @@ void ShardCore::overload_step() {
     // the multiplier doubles once per full window up to the cap.
     if (overload_monitor_.state() == OverloadState::critical && sample.shed_delta > 0) {
       if (++critical_shedding_cycles_ >= config_.overload.window_cycles &&
-          throttle_multiplier_ < config_.overload.max_backoff) {
+          throttle_multiplier_ < kMaxBackoff) {
         critical_shedding_cycles_ = 0;
-        update_throttle(std::min(throttle_multiplier_ * 2, config_.overload.max_backoff));
+        update_throttle(std::min(throttle_multiplier_ * 2, kMaxBackoff));
       }
     } else if (sample.shed_delta == 0) {
       critical_shedding_cycles_ = 0;
@@ -290,8 +284,8 @@ void ShardCore::overload_step() {
   critical_shedding_cycles_ = 0;
   switch (state) {
     case OverloadState::normal: update_throttle(1); break;
-    case OverloadState::elevated: update_throttle(config_.overload.elevated_backoff); break;
-    case OverloadState::critical: update_throttle(config_.overload.critical_backoff); break;
+    case OverloadState::elevated: update_throttle(kElevatedBackoff); break;
+    case OverloadState::critical: update_throttle(kCriticalBackoff); break;
   }
   FLEXRAN_LOG(warn, "master") << "overload state -> " << to_string(state)
                               << " (depth " << pending_.size() << " msgs, shed "
@@ -618,7 +612,7 @@ void ShardCore::sweep_requests() {
       ++it;
       continue;
     }
-    if (request.attempts < config_.request_max_retries) {
+    if (request.attempts < kRequestMaxRetries) {
       ++request.attempts;
       ++requests_retried_;
       request.timeout *= 2;  // back off: the link may be congested, not dead
@@ -873,14 +867,13 @@ void ShardCore::load_checkpoint() {
     return;
   }
   // Wrong-shard gate: under one coordinator every shard has its own sink,
-  // and a restore must never resurrect a neighbor's (or a standalone
+  // and a restore must never resurrect a neighbor's (or a single-shard
   // master's) agent set -- the ids would collide with agents the other
   // shards still own.
-  if (checkpoint->shard != config_.shard) {
+  if (checkpoint->shard != shard_) {
     ++checkpoints_rejected_;
     FLEXRAN_LOG(error, "master") << "checkpoint rejected: written by shard "
-                                 << checkpoint->shard << ", this core is shard "
-                                 << config_.shard;
+                                 << checkpoint->shard << ", this core is shard " << shard_;
     return;
   }
   checkpoint_loaded_ = true;
@@ -939,7 +932,7 @@ proto::MasterCheckpoint ShardCore::build_checkpoint() const {
   proto::MasterCheckpoint checkpoint;
   checkpoint.incarnation = incarnation_;
   checkpoint.saved_at_us = static_cast<std::uint64_t>(sim_.now());
-  checkpoint.shard = config_.shard;
+  checkpoint.shard = shard_;
   // The full link set, including agents whose durable state is still empty
   // (no hello yet): failover needs to know every agent the shard owned,
   // not just the ones worth restoring warm.
@@ -1135,10 +1128,8 @@ std::int64_t ShardCore::agent_subframe(AgentId agent) const {
 
 util::Status ShardCore::send_dl_mac_config(AgentId agent,
                                                   const proto::DlMacConfig& config) {
-  if (config_.conflict_resolution) {
-    auto claimed = arbiter_.claim_dl(agent, config);
-    if (!claimed.ok()) return claimed;
-  }
+  auto claimed = arbiter_.claim_dl(agent, config);
+  if (!claimed.ok()) return claimed;
   return send_to(agent, config);
 }
 
@@ -1257,12 +1248,12 @@ const obs::Histogram* ShardCore::control_latency(AgentId agent) const {
 
 std::string ShardCore::probe_name(
     std::string name, std::vector<std::pair<std::string, std::string>> labels) const {
-  if (config_.shard >= 0) labels.emplace_back("shard", std::to_string(config_.shard));
+  if (shard_ >= 0) labels.emplace_back("shard", std::to_string(shard_));
   return obs::labeled(std::move(name), labels);
 }
 
 void ShardCore::register_obs_probes() {
-  auto& m = *registry_;
+  auto& m = registry_;
   // Ingest queue feeding the RIB Updater (bounded class-aware queue).
   m.register_probe(probe_name("ingest_depth_messages"),
                    [this] { return static_cast<double>(pending_.size()); });
@@ -1367,7 +1358,7 @@ void ShardCore::register_obs_probes() {
 }
 
 void ShardCore::register_agent_probes(AgentId id) {
-  auto& m = *registry_;
+  auto& m = registry_;
   const std::string agent_label = std::to_string(id);
   for (const proto::MessageCategory category : kAllCategories) {
     const std::string cat_label = proto::to_string(category);
@@ -1401,7 +1392,7 @@ void ShardCore::register_agent_probes(AgentId id) {
 }
 
 void ShardCore::register_app_probes(const std::string& name) {
-  auto& m = *registry_;
+  auto& m = registry_;
   auto stat_probe = [this, name](auto select) {
     return [this, name, select]() -> double {
       for (const auto& stat : task_manager_.app_stats()) {

@@ -9,8 +9,8 @@
 // Since the two-tier split (docs/sharded_control.md) this class is the
 // per-shard core: instantiable N times in one process, each instance owning
 // a disjoint agent set, with a thin Coordinator (coordinator.h) assigning
-// agents, aggregating snapshots and routing commands. A standalone instance
-// (shard index unset) is the classic single master.
+// agents, aggregating snapshots and routing commands. Every master is a
+// Coordinator; a one-shard Coordinator is the classic single master.
 #pragma once
 
 #include <deque>
@@ -48,15 +48,14 @@ namespace flexran::ctrl {
 /// `0/0 = off` convention).
 struct ObsConfig {
   bool enabled = false;
-  /// Control-loop trace ring capacity (most recent cycles kept verbatim).
-  std::size_t trace_cycles = 4096;
-  /// External registry to register instruments and probes in (nullptr = use
-  /// the core's own). The Coordinator points every shard at one shared
-  /// registry so a single export surface covers the whole process; the
-  /// `shard` label (MasterConfig::shard) keeps identities unique. The
-  /// registry must outlive the core.
-  obs::MetricsRegistry* registry = nullptr;
 };
+
+/// Control-loop trace ring capacity (most recent cycles kept verbatim).
+inline constexpr std::size_t kTraceCycles = 4096;
+
+/// Retries before a tracked request is reported failed via a
+/// request_timeout event (the timeout doubles per retry).
+inline constexpr int kRequestMaxRetries = 2;
 
 /// Master crash recovery (docs/fault_tolerance.md "Master restart"). Off
 /// by default: with `enabled == false` no incarnation epoch is stamped on
@@ -91,10 +90,6 @@ struct RecoveryConfig {
 
 struct MasterConfig {
   TaskManagerConfig task_manager;
-  /// Shard index under a Coordinator (-1 = standalone master). When set,
-  /// every metric and probe this core registers carries a `shard` label so
-  /// multiple cores can share one MetricsRegistry without name collisions.
-  int shard = -1;
   /// On hello: automatically fetch eNodeB/UE/LC configuration.
   bool auto_configure = true;
   /// On hello: install this statistics request (nullopt = none).
@@ -104,9 +99,6 @@ struct MasterConfig {
   /// Send an echo request every this many cycles for RTT estimation
   /// (0 = never).
   std::int64_t echo_period_cycles = 1000;
-  /// Reject DL MAC configs whose PRBs overlap a decision another app
-  /// already issued for the same (agent, subframe) -- paper Sec. 7.3.
-  bool conflict_resolution = true;
   /// Mark an agent stale when nothing has been heard from it for this long
   /// (0 = never). Stale agents are skipped by well-behaved apps.
   sim::TimeUs agent_timeout_us = 0;
@@ -116,12 +108,9 @@ struct MasterConfig {
   /// take this path immediately.
   sim::TimeUs agent_disconnect_timeout_us = 0;
   /// Track config/stats requests by xid and retry them when no reply
-  /// arrives within this timeout (doubles per retry). 0 = fire-and-forget
-  /// (the seed behavior).
+  /// arrives within this timeout (doubles per retry, kRequestMaxRetries
+  /// times). 0 = fire-and-forget (the seed behavior).
   sim::TimeUs request_timeout_us = 0;
-  /// Retries before a tracked request is reported failed via a
-  /// request_timeout event.
-  int request_max_retries = 2;
   /// Overload protection (docs/overload_protection.md): bounded ingest
   /// queue, watchdog thresholds and report-throttle backoff. The layer is
   /// entirely off (seed behavior) until `overload.ingest` has a budget.
@@ -134,18 +123,25 @@ struct MasterConfig {
   RecoveryConfig recovery;
 };
 
+/// One shard of the master. Built only by the Coordinator, which owns the
+/// shared metrics registry and allocates agent ids globally.
 class ShardCore final : public NorthboundApi {
  public:
-  ShardCore(sim::Simulator& sim, MasterConfig config);
+  /// `shard` is the index under the Coordinator, or -1 when it runs a
+  /// single shard. With an index, every metric and probe this core
+  /// registers carries a `shard` label (so N cores share `registry`
+  /// without name collisions) and every checkpoint it saves is stamped
+  /// with it. `registry` must outlive the core.
+  ShardCore(sim::Simulator& sim, MasterConfig config, int shard,
+            obs::MetricsRegistry& registry);
   /// Stops the worker pool before the application registry is destroyed
   /// (member order would otherwise tear apps down under running workers).
   ~ShardCore() override;
 
-  /// Registers the master-side endpoint of an agent connection. Returns the
-  /// agent id (also the RIB root key). `id` pins an explicit agent id --
-  /// the Coordinator allocates ids globally so they stay unique across
-  /// shards; 0 (the default) keeps the core's own sequential allocation.
-  AgentId add_agent(net::Transport& transport, AgentId id = 0);
+  /// Registers the master-side endpoint of an agent connection under `id`
+  /// (also the RIB root key), allocated by the Coordinator so it stays
+  /// unique across shards.
+  void add_agent(net::Transport& transport, AgentId id);
   void remove_agent(AgentId id);
 
   /// Runs one task-manager cycle; wire this to the TtiTicker (real-time
@@ -364,14 +360,14 @@ class ShardCore final : public NorthboundApi {
 
   // ---- observability (docs/observability.md) ---------------------------------
   bool obs_enabled() const { return config_.obs.enabled; }
-  /// Shard index under a Coordinator (-1 = standalone master).
-  int shard() const { return config_.shard; }
-  /// The unified metrics registry: the core's own, or the shared external
-  /// one from ObsConfig::registry. Master-owned instruments and probes are
-  /// registered only while `obs.enabled`; external components (scenario
-  /// layer, benches) may register theirs at any time.
-  obs::MetricsRegistry& metrics() { return *registry_; }
-  const obs::MetricsRegistry& metrics() const { return *registry_; }
+  /// Shard index under the Coordinator (-1 = the only shard).
+  int shard() const { return shard_; }
+  /// The Coordinator's process-wide metrics registry. Master-owned
+  /// instruments and probes are registered only while `obs.enabled`;
+  /// external components (scenario layer, benches) may register theirs at
+  /// any time.
+  obs::MetricsRegistry& metrics() { return registry_; }
+  const obs::MetricsRegistry& metrics() const { return registry_; }
   /// Per-cycle control-loop traces (empty unless `obs.enabled`).
   const obs::TraceRing& cycle_traces() const { return trace_ring_; }
   /// End-to-end control latency (send -> agent -> echo -> RIB apply) for
@@ -432,9 +428,9 @@ class ShardCore final : public NorthboundApi {
   util::Status send_to(AgentId agent, const M& message, bool track = false);
 
   /// Metric/probe identity for this core: `name` with `labels`, plus a
-  /// `shard` label when this core runs under a Coordinator (shard >= 0) so
-  /// N cores sharing one registry stay distinguishable. With no labels and
-  /// no shard index this is `name` verbatim (seed-identical identities).
+  /// `shard` label when the Coordinator runs several shards (shard >= 0)
+  /// so N cores sharing one registry stay distinguishable. With no labels
+  /// and no shard index this is `name` verbatim (seed-identical identities).
   std::string probe_name(std::string name,
                          std::vector<std::pair<std::string, std::string>> labels = {}) const;
 
@@ -513,6 +509,8 @@ class ShardCore final : public NorthboundApi {
 
   sim::Simulator& sim_;
   MasterConfig config_;
+  const int shard_;
+  obs::MetricsRegistry& registry_;
   Rib rib_;
   SnapshotStore snapshots_;
   /// Agents whose subtree changed since the last publish (their nodes are
@@ -542,7 +540,6 @@ class ShardCore final : public NorthboundApi {
   std::map<std::pair<AgentId, std::uint32_t>, proto::StatsRequest> original_reports_;
   OverloadMonitor overload_monitor_;
 
-  AgentId next_agent_id_ = 1;
   std::uint32_t next_xid_ = 1;
   /// Reused send-path scratch encoder (docs/wire_fastpath.md): all sends run
   /// on the owning coordinator thread, so one arena per shard suffices and
@@ -611,10 +608,6 @@ class ShardCore final : public NorthboundApi {
   obs::Histogram* resync_duration_ = nullptr;
 
   // ---- observability ---------------------------------------------------------
-  /// The core's own registry; `registry_` points here unless ObsConfig
-  /// supplied a shared external one.
-  obs::MetricsRegistry metrics_;
-  obs::MetricsRegistry* registry_ = &metrics_;
   obs::TraceRing trace_ring_;
 };
 

@@ -29,8 +29,7 @@ void TaskManager::set_snapshot_source(SnapshotFn snapshot, NowFn now) {
 
 std::int64_t TaskManager::updater_budget_us() const {
   return config_.real_time
-             ? static_cast<std::int64_t>(config_.updater_share *
-                                         static_cast<double>(config_.cycle_us))
+             ? static_cast<std::int64_t>(kUpdaterShare * static_cast<double>(config_.cycle_us))
              : std::int64_t{0};
 }
 

@@ -42,10 +42,11 @@
 
 namespace flexran::ctrl {
 
+/// Fraction of the TTI reserved for the RIB updater slot.
+inline constexpr double kUpdaterShare = 0.20;
+
 struct TaskManagerConfig {
   bool real_time = true;
-  /// Fraction of the TTI reserved for the RIB updater slot.
-  double updater_share = 0.20;
   /// Cycle length; 1 TTI (1000 us) in real-time mode.
   std::int64_t cycle_us = 1000;
   /// Application-slot worker threads. 0 = run apps inline on the

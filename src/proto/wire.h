@@ -41,9 +41,6 @@ class WireEncoder {
   void field_fixed32(int field, std::uint32_t value);
   void field_bytes(int field, std::span<const std::uint8_t> bytes);
   void field_string(int field, std::string_view text);
-  /// Embeds a pre-encoded sub-message (legacy path: the sub-message was built
-  /// in its own encoder and is copied here; prefer begin_message/end_message).
-  void field_message(int field, const WireEncoder& sub) { field_bytes(field, sub.bytes()); }
 
   // -- in-place nested messages (length-prefix backpatching) -----------------
   // Encodes a length-delimited sub-message directly into this encoder's
@@ -52,8 +49,8 @@ class WireEncoder {
   // start offset); end_message backpatches the minimal length varint. When the
   // payload turns out >= 128 bytes the tail is shifted right to widen the
   // prefix -- still within reused capacity in steady state. Output is
-  // byte-identical to field_message. Nests arbitrarily (inner end before
-  // outer).
+  // byte-identical to encoding the sub-message separately and copying it in
+  // with field_bytes. Nests arbitrarily (inner end before outer).
   std::size_t begin_message(int field);
   void end_message(std::size_t mark);
 

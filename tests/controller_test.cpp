@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "apps/monitoring.h"
+#include "controller/coordinator.h"
 #include "controller/rib.h"
 #include "controller/rib_view.h"
-#include "controller/shard_core.h"
 #include "controller/task_manager.h"
 #include "net/sim_transport.h"
 #include "scenario/testbed.h"
@@ -70,9 +70,10 @@ TEST(RibUpdater, UeFirstSeenInStatsIsMovedNotDuplicated) {
   // or ue_attach naming another cell must move that node there, not add a
   // second UeNode for the same RNTI.
   sim::Simulator sim;
-  ShardCore master(sim, scenario::per_tti_master_config());
+  Coordinator coordinator(sim, {.shard = scenario::per_tti_master_config()});
+  ShardCore& master = coordinator.shard(0);
   auto link = net::make_sim_transport_pair(sim);
-  const AgentId id = master.add_agent(*link.a);
+  const AgentId id = coordinator.add_agent(*link.a);
   const auto deliver = [&](const std::vector<std::uint8_t>& wire) {
     ASSERT_TRUE(link.b->send(wire).ok());
     sim.run();

@@ -709,10 +709,12 @@ TEST(NonRealTime, CoarseCycleMasterStillManagesAgents) {
   // every 10 ms instead of every TTI; local schedulers keep the data plane
   // running and the RIB still converges.
   sim::Simulator simulator;
-  ctrl::MasterConfig config = scenario::per_tti_master_config(10);
-  config.task_manager.real_time = false;
-  config.task_manager.cycle_us = 10'000;
-  ctrl::ShardCore master(simulator, config);
+  ctrl::CoordinatorConfig config;
+  config.shard = scenario::per_tti_master_config(10);
+  config.shard.task_manager.real_time = false;
+  config.shard.task_manager.cycle_us = 10'000;
+  ctrl::Coordinator coordinator(simulator, config);
+  ctrl::ShardCore& master = coordinator.shard(0);
 
   lte::EnbConfig enb_config;
   enb_config.enb_id = 1;
@@ -722,7 +724,7 @@ TEST(NonRealTime, CoarseCycleMasterStillManagesAgents) {
   agent_config.enb_id = 1;
   agent::Agent agent(simulator, dp, agent_config);
   auto transports = net::make_sim_transport_pair(simulator);
-  master.add_agent(*transports.a);
+  coordinator.add_agent(*transports.a);
   agent.connect(*transports.b);
 
   auto profile = cqi_ue(11, 5);
@@ -732,7 +734,7 @@ TEST(NonRealTime, CoarseCycleMasterStillManagesAgents) {
   ticker.subscribe([&](std::int64_t tti) {
     dp.subframe_begin(tti);
     dp.subframe_end(tti);
-    if (tti % 10 == 0) master.run_cycle();  // non-RT: every 10th TTI
+    if (tti % 10 == 0) coordinator.run_cycle();  // non-RT: every 10th TTI
   });
   ticker.start();
   simulator.run_until(sim::from_seconds(1.0));

@@ -181,7 +181,7 @@ TEST(SessionLifecycle, CorruptedHelloIsRecoveredByHelloRetry) {
   testbed.run_ttis(5);
   EXPECT_EQ(testbed.master().rx_decode_errors(), decode_errors_before + 1);
 
-  testbed.run_ttis(enb.agent->config().hello_retry_ttis + 50);
+  testbed.run_ttis(agent::kHelloRetryTtis + 50);
   EXPECT_GE(enb.agent->hello_retries(), 1u);
   const auto* node = testbed.master().rib().find_agent(enb.agent_id);
   ASSERT_NE(node, nullptr);
@@ -322,7 +322,6 @@ TEST(RequestTracking, TimedOutRequestIsRetriedAndCompletes) {
 TEST(RequestTracking, ExhaustedRetriesSurfaceRequestTimeoutEvent) {
   ctrl::MasterConfig config = scenario::per_tti_master_config();
   config.request_timeout_us = sim::from_ms(10);
-  config.request_max_retries = 2;
   scenario::Testbed testbed(std::move(config));
   auto* recorder = static_cast<LifecycleRecorder*>(
       testbed.master().add_app(std::make_unique<LifecycleRecorder>()));
@@ -360,7 +359,6 @@ TEST(RequestTracking, RetriesKeepOriginalSignalingCategory) {
   config.echo_period_cycles = 0;       // no periodic management traffic
   config.default_stats_request.reset();
   config.request_timeout_us = sim::from_ms(10);
-  config.request_max_retries = 2;
   scenario::Testbed testbed(std::move(config));
   auto& enb = testbed.add_enb(basic_spec());
   testbed.run_ttis(20);
@@ -398,15 +396,17 @@ TEST(RequestTracking, RemoveAgentPurgesQueuesAndInflight) {
   // Raw master without a ticker: received updates pile up in pending_ and
   // queued events stay queued, so remove_agent's purge is observable.
   sim::Simulator sim;
-  ctrl::MasterConfig config = scenario::per_tti_master_config();
-  config.request_timeout_us = sim::from_ms(50);
-  ctrl::ShardCore master(sim, config);
+  ctrl::CoordinatorConfig config;
+  config.shard = scenario::per_tti_master_config();
+  config.shard.request_timeout_us = sim::from_ms(50);
+  ctrl::Coordinator coordinator(sim, config);
+  ctrl::ShardCore& master = coordinator.shard(0);
   auto* recorder =
       static_cast<LifecycleRecorder*>(master.add_app(std::make_unique<LifecycleRecorder>()));
   auto link_a = net::make_sim_transport_pair(sim);
   auto link_b = net::make_sim_transport_pair(sim);
-  const auto first = master.add_agent(*link_a.a);
-  const auto second = master.add_agent(*link_b.a);
+  const auto first = coordinator.add_agent(*link_a.a);
+  const auto second = coordinator.add_agent(*link_b.a);
 
   ASSERT_TRUE(link_a.b->send(make_stale_stats_reply(/*epoch=*/0, 100)).ok());
   ASSERT_TRUE(link_a.b->send(make_stale_stats_reply(/*epoch=*/0, 101)).ok());

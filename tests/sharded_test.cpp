@@ -525,6 +525,34 @@ TEST(ShardedCheckpoints, WrongShardCheckpointIsRejectedOnRestore) {
   EXPECT_TRUE(coordinator.shard(0).checkpoint_loaded());
 }
 
+TEST(ShardedCheckpoints, SingleShardCheckpointIsUnstampedAndRestores) {
+  // A one-shard Coordinator is the classic single master: its checkpoints
+  // carry no shard stamp (decode to -1) and its own restart restores them.
+  auto sink = std::make_shared<ctrl::MemoryCheckpointSink>();
+  sim::Simulator sim;
+  ctrl::CoordinatorConfig coordinator_config;
+  coordinator_config.shard = scenario::per_tti_master_config();
+  coordinator_config.shard.recovery.enabled = true;
+  coordinator_config.shard.recovery.checkpoint_sink = sink;
+  Coordinator coordinator(sim, coordinator_config);
+  ASSERT_EQ(coordinator.shard_count(), 1u);
+  EXPECT_EQ(coordinator.shard(0).shard(), -1);
+
+  auto link = net::make_sim_transport_pair(sim);
+  const auto id = coordinator.add_agent(*link.a, 1);
+  ASSERT_TRUE(coordinator.shard(0).save_checkpoint().ok());
+  auto bytes = sink->load();
+  ASSERT_TRUE(bytes.ok());
+  auto decoded = proto::MasterCheckpoint::decode(*bytes);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->shard, -1);
+  EXPECT_EQ(decoded->agent_ids, (std::vector<std::uint32_t>{id}));
+
+  coordinator.shard(0).restart();
+  EXPECT_TRUE(coordinator.shard(0).checkpoint_loaded());
+  EXPECT_EQ(coordinator.shard(0).checkpoints_rejected(), 0u);
+}
+
 // ----------------------------------------------------------- observability --
 
 TEST(ShardedObs, SharedRegistryKeepsPerShardMetricIdentities) {
