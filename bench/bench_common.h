@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "scenario/testbed.h"
@@ -18,12 +19,13 @@
 namespace flexran::bench {
 
 /// Common prefix for the machine-readable JSON line a bench emits:
-/// benchmark name, the git SHA of the build, and a free-form config
-/// summary. Callers splice it as the first fields of their JSON object:
+/// benchmark name, the git SHA of the build, the host's core count and a
+/// free-form config summary. Callers splice it as the first fields of
+/// their JSON object:
 ///   std::string json = "{" + json_header("x", "enbs=2") + ",\"runs\":[...]}";
 inline std::string json_header(const std::string& bench, const std::string& config) {
-  return "\"bench\":\"" + bench + "\",\"git_sha\":\"" FLEXRAN_GIT_SHA "\",\"config\":\"" +
-         config + "\"";
+  return "\"bench\":\"" + bench + "\",\"git_sha\":\"" FLEXRAN_GIT_SHA "\",\"host_cores\":" +
+         std::to_string(std::thread::hardware_concurrency()) + ",\"config\":\"" + config + "\"";
 }
 
 inline void print_header(const std::string& title) {

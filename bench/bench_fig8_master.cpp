@@ -73,7 +73,9 @@ MasterLoad run(int n_agents, double seconds) {
 /// 0-agent case: the master alone, cycled manually.
 MasterLoad run_empty(double seconds) {
   sim::Simulator simulator;
-  ctrl::Coordinator coordinator(simulator, {.shard = scenario::per_tti_master_config()});
+  ctrl::CoordinatorConfig config;
+  config.shard = scenario::per_tti_master_config();
+  ctrl::Coordinator coordinator(simulator, config);
   ctrl::ShardCore& master = coordinator.shard(0);
   master.add_app(std::make_unique<apps::RemoteSchedulerApp>());
   master.add_app(std::make_unique<apps::MonitoringApp>(100));
@@ -496,12 +498,15 @@ int main(int argc, char** argv) {
 
   const char* json_path = argc > 1 ? argv[1] : "BENCH_fig8_workers.json";
   std::ofstream json(json_path);
-  json << "{\n  \"bench\": \"fig8_worker_sweep\",\n"
-       << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n"
+  json << "{\n  "
+       << bench::json_header("fig8_worker_sweep",
+                             "agents=2,4,8 workers=0,1,2,4,8 shards=1,2,4,8 shard_agents=" +
+                                 std::to_string(kShardAgents))
+       << ",\n"
        << "  \"cycles\": " << kCycles << ",\n  \"stall_us\": " << kStallUs << ",\n"
        << "  \"note\": \"per-agent priority-1 apps each stall stall_us on a simulated "
           "external service call per cycle; speedup = overlap of those stalls across "
-          "workers (single-core host: CPU-bound work does not parallelize)\",\n"
+          "workers; host_cores bounds any CPU-parallel share of it\",\n"
        << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];

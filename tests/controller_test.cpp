@@ -70,7 +70,9 @@ TEST(RibUpdater, UeFirstSeenInStatsIsMovedNotDuplicated) {
   // or ue_attach naming another cell must move that node there, not add a
   // second UeNode for the same RNTI.
   sim::Simulator sim;
-  Coordinator coordinator(sim, {.shard = scenario::per_tti_master_config()});
+  CoordinatorConfig coordinator_config;
+  coordinator_config.shard = scenario::per_tti_master_config();
+  Coordinator coordinator(sim, coordinator_config);
   ShardCore& master = coordinator.shard(0);
   auto link = net::make_sim_transport_pair(sim);
   const AgentId id = coordinator.add_agent(*link.a);
