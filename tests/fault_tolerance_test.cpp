@@ -835,6 +835,46 @@ TEST(MasterRecovery, WarmRestartLoadsCheckpointAndRepushesPolicies) {
   EXPECT_GE(testbed.master().incarnation(), 2u);
 }
 
+// Checkpoint bytes are a compatibility surface: a master restarted on a
+// newer build must load what the older one wrote. The image below pins the
+// encoding of every durable per-agent slice -- identity, cell config, epoch,
+// captured periodic report registrations (an ingest budget makes the
+// master capture them) and the applied-policy history.
+TEST(MasterRecovery, CheckpointBytesArePinned) {
+  auto sink = std::make_shared<ctrl::MemoryCheckpointSink>();
+  ctrl::MasterConfig config = recovery_config(/*tokens_per_s=*/1000.0, sink);
+  config.overload.ingest.max_messages = 256;
+  scenario::Testbed testbed(std::move(config));
+  auto& enb_a = testbed.add_enb(basic_spec(1));
+  testbed.add_enb(basic_spec(2));
+  testbed.run_ttis(150);
+  ASSERT_TRUE(testbed.master()
+                  .send_policy(enb_a.agent_id, "mac:\n  dl_ue_scheduler:\n    behavior: local_rr\n")
+                  .ok());
+  testbed.run_ttis(50);
+  ASSERT_EQ(testbed.master().last_known_good_policy(enb_a.agent_id),
+            "mac:\n  dl_ue_scheduler:\n    behavior: local_rr\n");
+
+  ASSERT_TRUE(testbed.master().save_checkpoint().ok());
+  auto bytes = sink->load();
+  ASSERT_TRUE(bytes.ok());
+  std::string hex;
+  for (const std::uint8_t byte : *bytes) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xf];
+  }
+  EXPECT_EQ(bytes->size(), 205u);
+  EXPECT_EQ(hex,
+            "0801100118b49e0c22770801120466742d311a036d61631a037272631a0a6465"
+            "6c65676174696f6e20012a190801121508011100000000000024401800200128"
+            "0130053800320908011001180120ff013a2f6d61633a0a2020646c5f75655f73"
+            "63686564756c65723a0a202020206265686176696f723a206c6f63616c5f7272"
+            "0a22460802120466742d321a036d61631a037272631a0a64656c65676174696f"
+            "6e20012a19080212150802110000000000002440180020012801300538003209"
+            "08011001180120ff0130013002");
+}
+
 // Torn-write regression: an injected mid-write failure leaves a torn .tmp
 // behind, but the atomic tmp+rename protocol must keep the last complete
 // checkpoint loadable -- a failed save never clobbers durable state.

@@ -56,7 +56,7 @@ else
 fi
 
 # Chaos soak: every chaos_*.yaml (recovery, overload, VSF containment,
-# master crash, metrics-enabled) plus the sharded scale and failover
+# master crash, metrics-enabled) plus the sharded scale, failover and drain
 # scenarios, each across a fixed seed sweep, under the instrumented
 # flexran-sim. --check turns end-state convergence into an exit code (all
 # agents up, nothing recovering, no orphan unadopted, no adoption still
@@ -70,7 +70,7 @@ fi
 # property breaks mid-run, instead of waiting for the end-state check.
 seeds=(1 7 13)
 scenarios=("${repo_root}"/scenarios/chaos_*.yaml "${repo_root}/scenarios/sharded_scale.yaml" \
-  "${repo_root}/scenarios/sharded_failover.yaml")
+  "${repo_root}/scenarios/sharded_failover.yaml" "${repo_root}/scenarios/sharded_drain.yaml")
 for scenario in "${scenarios[@]}"; do
   name="$(basename "${scenario}")"
   if [[ "${sanitize}" == "thread" && "${name}" == "chaos_vsf.yaml" ]]; then
