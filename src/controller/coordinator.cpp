@@ -431,71 +431,61 @@ std::int64_t Coordinator::agent_subframe(AgentId agent) const {
   return shard == nullptr ? 0 : shard->agent_subframe(agent);
 }
 
-namespace {
-util::Status unassigned(AgentId agent) {
-  return util::Error::not_found("agent " + std::to_string(agent) +
-                                " not assigned to any shard");
+template <auto Method, typename... Args>
+util::Status Coordinator::route(AgentId agent, Args&&... args) {
+  ShardCore* shard = owner(agent);
+  if (shard == nullptr) {
+    return util::Error::not_found("agent " + std::to_string(agent) +
+                                  " not assigned to any shard");
+  }
+  return (shard->*Method)(agent, std::forward<Args>(args)...);
 }
-}  // namespace
 
 util::Status Coordinator::send_dl_mac_config(AgentId agent, const proto::DlMacConfig& config) {
-  ShardCore* shard = owner(agent);
-  return shard == nullptr ? unassigned(agent) : shard->send_dl_mac_config(agent, config);
+  return route<&ShardCore::send_dl_mac_config>(agent, config);
 }
 
 util::Status Coordinator::send_ul_mac_config(AgentId agent, const proto::UlMacConfig& config) {
-  ShardCore* shard = owner(agent);
-  return shard == nullptr ? unassigned(agent) : shard->send_ul_mac_config(agent, config);
+  return route<&ShardCore::send_ul_mac_config>(agent, config);
 }
 
 util::Status Coordinator::send_handover(AgentId agent, const proto::HandoverCommand& command) {
-  ShardCore* shard = owner(agent);
-  return shard == nullptr ? unassigned(agent) : shard->send_handover(agent, command);
+  return route<&ShardCore::send_handover>(agent, command);
 }
 
 util::Status Coordinator::send_abs_config(AgentId agent, const proto::AbsConfig& config) {
-  ShardCore* shard = owner(agent);
-  return shard == nullptr ? unassigned(agent) : shard->send_abs_config(agent, config);
+  return route<&ShardCore::send_abs_config>(agent, config);
 }
 
 util::Status Coordinator::send_carrier_restriction(AgentId agent,
                                                    const proto::CarrierRestriction& config) {
-  ShardCore* shard = owner(agent);
-  return shard == nullptr ? unassigned(agent) : shard->send_carrier_restriction(agent, config);
+  return route<&ShardCore::send_carrier_restriction>(agent, config);
 }
 
 util::Status Coordinator::send_drx_config(AgentId agent, const proto::DrxConfig& config) {
-  ShardCore* shard = owner(agent);
-  return shard == nullptr ? unassigned(agent) : shard->send_drx_config(agent, config);
+  return route<&ShardCore::send_drx_config>(agent, config);
 }
 
 util::Status Coordinator::send_scell_command(AgentId agent, const proto::ScellCommand& command) {
-  ShardCore* shard = owner(agent);
-  return shard == nullptr ? unassigned(agent) : shard->send_scell_command(agent, command);
+  return route<&ShardCore::send_scell_command>(agent, command);
 }
 
 util::Status Coordinator::request_stats(AgentId agent, const proto::StatsRequest& request) {
-  ShardCore* shard = owner(agent);
-  return shard == nullptr ? unassigned(agent) : shard->request_stats(agent, request);
+  return route<&ShardCore::request_stats>(agent, request);
 }
 
 util::Status Coordinator::subscribe_events(AgentId agent, std::vector<proto::EventType> events,
                                            bool enable) {
-  ShardCore* shard = owner(agent);
-  return shard == nullptr ? unassigned(agent)
-                          : shard->subscribe_events(agent, std::move(events), enable);
+  return route<&ShardCore::subscribe_events>(agent, std::move(events), enable);
 }
 
 util::Status Coordinator::push_vsf(AgentId agent, const std::string& module,
                                    const std::string& vsf, const std::string& implementation) {
-  ShardCore* shard = owner(agent);
-  return shard == nullptr ? unassigned(agent)
-                          : shard->push_vsf(agent, module, vsf, implementation);
+  return route<&ShardCore::push_vsf>(agent, module, vsf, implementation);
 }
 
 util::Status Coordinator::send_policy(AgentId agent, const std::string& yaml) {
-  ShardCore* shard = owner(agent);
-  return shard == nullptr ? unassigned(agent) : shard->send_policy(agent, yaml);
+  return route<&ShardCore::send_policy>(agent, yaml);
 }
 
 // ------------------------------------------------------------ introspection

@@ -69,6 +69,10 @@ class Coordinator final : public NorthboundApi {
   /// agent id, valid across every shard and the composite snapshot.
   AgentId add_agent(net::Transport& transport, std::uint64_t stable_key = 0,
                     std::optional<std::size_t> shard_override = std::nullopt);
+  /// Forgets the agent: its owning shard detaches the connection (the
+  /// transport is not owned and stays open) and drops every piece of
+  /// per-agent state, and the agent leaves the assignment map and the
+  /// composite snapshot before this returns. No-op for an unknown id.
   void remove_agent(AgentId id);
 
   /// Runs one cycle on every shard, then the global application slot:
@@ -244,6 +248,10 @@ class Coordinator final : public NorthboundApi {
 
   ShardCore* owner(AgentId id);
   const ShardCore* owner(AgentId id) const;
+  /// Forwards a northbound call to the owning shard's `Method(agent,
+  /// args...)`, or fails with not_found when no shard owns the agent.
+  template <auto Method, typename... Args>
+  util::Status route(AgentId agent, Args&&... args);
   void install_event_taps();
   bool shard_active(std::size_t index) const {
     return shard_states_[index].health == ShardHealth::alive ||

@@ -65,9 +65,8 @@ const UeNode* Rib::find_ue(AgentId id, lte::Rnti rnti) const {
   return agent == nullptr ? nullptr : agent->find_ue(rnti);
 }
 
-UeNode* Rib::mutable_ue(AgentId id, lte::Rnti rnti) {
-  auto it = agents_.find(id);
-  return it == agents_.end() ? nullptr : it->second.find_ue(rnti);
+AgentNode* Rib::find_agent(AgentId id) {
+  return const_cast<AgentNode*>(std::as_const(*this).find_agent(id));
 }
 
 std::size_t Rib::ue_count() const {

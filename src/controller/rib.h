@@ -64,18 +64,12 @@ struct AgentNode {
   void erase_ue(lte::Rnti rnti);
   std::size_t ue_count() const;
 
-  /// Latest subframe the agent reported (sync ticks / stats replies) and
-  /// when it arrived -- the master's view of agent time, which trails real
-  /// agent time by the one-way control latency (paper Sec. 5.3).
+  /// Latest subframe the agent reported (sync ticks / stats replies) --
+  /// the master's view of agent time, which trails real agent time by the
+  /// one-way control latency (paper Sec. 5.3).
   std::int64_t last_subframe = 0;
-  sim::TimeUs last_subframe_at = 0;
   /// Smoothed RTT estimate from echo exchanges.
   double rtt_estimate_us = 0.0;
-
-  /// Liveness: when the last message of any kind arrived (the master's
-  /// timeout sweep drives the session state from this; see
-  /// MasterConfig::agent_timeout_us).
-  sim::TimeUs last_heard = 0;
 
   /// Full session lifecycle -- the single source of truth for liveness.
   SessionState state = SessionState::up;
@@ -91,10 +85,12 @@ struct AgentNode {
 
 class Rib {
  public:
+  /// The agent's node, created when absent.
   AgentNode& agent(AgentId id) { return agents_[id]; }
+  /// The agent's node; nullptr when absent (never creates one).
   const AgentNode* find_agent(AgentId id) const;
+  AgentNode* find_agent(AgentId id);
   const UeNode* find_ue(AgentId id, lte::Rnti rnti) const;
-  UeNode* mutable_ue(AgentId id, lte::Rnti rnti);
   void remove_agent(AgentId id) { agents_.erase(id); }
 
   const std::map<AgentId, AgentNode>& agents() const { return agents_; }

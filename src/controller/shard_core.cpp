@@ -79,7 +79,7 @@ ShardCore::ShardCore(sim::Simulator& sim, MasterConfig config, int shard,
   // knows the fleet it is waiting for, and each returning agent needs only
   // a delta re-sync.
   load_checkpoint();
-  if (config_.recovery.enabled && !recovery_expected_.empty()) {
+  if (config_.recovery.enabled && count_sessions(&AgentSession::recovery_expected) > 0) {
     recovering_ = true;
     recovery_started_at_ = sim_.now();
   }
@@ -88,7 +88,7 @@ ShardCore::ShardCore(sim::Simulator& sim, MasterConfig config, int shard,
 ShardCore::~ShardCore() { task_manager_.shutdown(); }
 
 void ShardCore::add_agent(net::Transport& transport, AgentId id) {
-  links_[id].transport = &transport;
+  sessions_[id].transport = &transport;
   // The frame span is only valid for the callback: Envelope::decode copies
   // the body into the owned envelope the ingest queue keeps.
   transport.set_receive_callback([this, id](std::span<const std::uint8_t> data) {
@@ -99,9 +99,9 @@ void ShardCore::add_agent(net::Transport& transport, AgentId id) {
                                    << envelope.error().message;
       return;
     }
-    auto link_it = links_.find(id);
-    if (link_it != links_.end()) {
-      link_it->second.rx.record(proto::categorize(envelope->type, envelope->body),
+    auto session = sessions_.find(id);
+    if (session != sessions_.end()) {
+      session->second.rx.record(proto::categorize(envelope->type, envelope->body),
                                 data.size() + net::kFrameHeaderBytes);
     }
     const net::TrafficClass cls = proto::traffic_class(envelope->type, envelope->body);
@@ -125,26 +125,28 @@ void ShardCore::add_agent(net::Transport& transport, AgentId id) {
 }
 
 void ShardCore::remove_agent(AgentId id) {
+  auto session = sessions_.find(id);
+  if (session == sessions_.end()) return;
+  if (net::Transport* transport = session->second.transport) {
+    // The connection outlives the agent's membership here (a drain hands it
+    // to an adopter, which rebinds it); until then nothing it delivers may
+    // recreate state for the agent.
+    transport->set_receive_callback({});
+    transport->set_disconnect_callback({});
+  }
+  // The session record holds the rest of the per-agent state: reports,
+  // policies, liveness and recovery bookkeeping go with it.
+  sessions_.erase(session);
+  rib_.remove_agent(id);
   dirty_agents_.erase(id);
   rib_structure_changed_ = true;
-  // Recovery bookkeeping: a removed agent neither holds the readiness
-  // quorum nor waits for a re-sync token.
-  resync_waiting_.erase(id);
+  // Drop everything still referencing the agent: its re-sync queue slot,
+  // queued updates, queued events, and in-flight requests (dropped
+  // silently, not failed -- removal is deliberate, not an outage).
   std::erase(resync_queue_, id);
-  resync_started_at_.erase(id);
-  warm_restored_.erase(id);
-  recovery_expected_.erase(id);
-  recovery_resynced_.erase(id);
-  // Drop everything still referencing the agent: queued updates, queued
-  // events, and in-flight requests (dropped silently, not failed --
-  // removal is deliberate, not an outage).
   pending_.remove_if([id](const PendingUpdate& update) { return update.agent == id; });
   std::erase_if(event_queue_, [id](const Event& event) { return event.agent == id; });
   std::erase_if(inflight_, [id](const auto& entry) { return entry.second.agent == id; });
-  std::erase_if(original_reports_,
-                [id](const auto& entry) { return entry.first.first == id; });
-  links_.erase(id);
-  rib_.remove_agent(id);
 }
 
 void ShardCore::run_cycle() {
@@ -159,33 +161,28 @@ void ShardCore::run_cycle() {
   for (const auto& [id, agent] : rib_.agents()) {
     arbiter_.prune_before(id, agent.last_subframe);
   }
-  if (config_.agent_timeout_us > 0) {
-    for (auto& [id, link] : links_) {
-      (void)link;
-      AgentNode& agent = rib_.agent(id);
-      // An agent deferred by the re-sync admission gate is silent at the
-      // master's own request (the retry-after hint paused its hellos):
-      // exempt it from the silence sweep or the deferral would walk it
-      // stale -> down and purge it from the very queue it is waiting in.
-      if (resync_waiting_.contains(id)) continue;
-      if (agent.last_heard > 0 && !agent.is_stale() &&
-          sim_.now() - agent.last_heard > config_.agent_timeout_us) {
-        agent.state = SessionState::stale;
-        dirty_agents_.insert(id);
-        FLEXRAN_LOG(warn, "master") << "agent " << id << " stale (silent for "
-                                    << (sim_.now() - agent.last_heard) / 1000 << " ms)";
-      }
+  // Silence sweep over connected sessions: stale, then down. An agent
+  // deferred by the re-sync admission gate is silent at the master's own
+  // request (the retry-after hint paused its hellos): exempt it, or the
+  // deferral would walk it stale -> down and purge it from the very queue
+  // it is waiting in.
+  const sim::TimeUs stale_after = config_.agent_timeout_us;
+  const sim::TimeUs down_after = config_.agent_disconnect_timeout_us;
+  for (auto& [id, session] : sessions_) {
+    if (stale_after <= 0 && down_after <= 0) break;  // both sweeps off
+    if (session.transport == nullptr || session.resync_waiting || session.last_heard == 0) {
+      continue;
     }
-  }
-  if (config_.agent_disconnect_timeout_us > 0) {
-    for (auto& [id, link] : links_) {
-      (void)link;
-      AgentNode& agent = rib_.agent(id);
-      if (resync_waiting_.contains(id)) continue;  // deferred: silence is ours
-      if (agent.state != SessionState::down && agent.last_heard > 0 &&
-          sim_.now() - agent.last_heard > config_.agent_disconnect_timeout_us) {
-        mark_agent_down(id, "silent past disconnect timeout");
-      }
+    AgentNode& agent = *rib_.find_agent(id);
+    const sim::TimeUs silent = sim_.now() - session.last_heard;
+    if (stale_after > 0 && !agent.is_stale() && silent > stale_after) {
+      agent.state = SessionState::stale;
+      dirty_agents_.insert(id);
+      FLEXRAN_LOG(warn, "master") << "agent " << id << " stale (silent for " << silent / 1000
+                                  << " ms)";
+    }
+    if (down_after > 0 && agent.state != SessionState::down && silent > down_after) {
+      mark_agent_down(id, "silent past disconnect timeout");
     }
   }
   sweep_requests();
@@ -200,12 +197,11 @@ void ShardCore::run_cycle() {
   }
   maybe_checkpoint();
   if (config_.echo_period_cycles > 0 && cycle % config_.echo_period_cycles == 0) {
-    for (const auto& [id, link] : links_) {
-      (void)link;
+    for (const auto& [id, session] : sessions_) {
+      if (session.transport == nullptr) continue;
       proto::EchoRequest echo;
       echo.timestamp_us = sim_.now();
-      const auto* agent = rib_.find_agent(id);
-      echo.subframe = agent != nullptr ? agent->last_subframe : 0;
+      echo.subframe = rib_.find_agent(id)->last_subframe;
       (void)send_to(id, echo);
     }
   }
@@ -306,16 +302,16 @@ void ShardCore::update_throttle(std::uint32_t multiplier) {
 }
 
 void ShardCore::renegotiate_reports() {
-  for (const auto& [key, original] : original_reports_) {
-    const auto& [agent, request_id] = key;
-    (void)request_id;
-    proto::StatsRequest stretched = original;
-    stretched.periodicity_ttis =
-        std::max<std::uint32_t>(1, original.periodicity_ttis) * throttle_multiplier_;
-    // Untracked: renegotiation is advisory (the Envelope throttle hint is
-    // the backstop), and a tracked retry storm is the last thing an
-    // overloaded master needs.
-    if (send_to(agent, stretched).ok()) ++throttle_renegotiations_;
+  for (const auto& [agent, session] : sessions_) {
+    for (const auto& entry : session.reports) {
+      proto::StatsRequest stretched = entry.second;
+      stretched.periodicity_ttis =
+          std::max<std::uint32_t>(1, stretched.periodicity_ttis) * throttle_multiplier_;
+      // Untracked: renegotiation is advisory (the Envelope throttle hint is
+      // the backstop), and a tracked retry storm is the last thing an
+      // overloaded master needs.
+      if (send_to(agent, stretched).ok()) ++throttle_renegotiations_;
+    }
   }
 }
 
@@ -332,19 +328,19 @@ void ShardCore::publish_snapshot() {
 
 void ShardCore::apply_update(const PendingUpdate& update) {
   using proto::MessageType;
+  auto session_it = sessions_.find(update.agent);
+  if (session_it == sessions_.end()) return;  // no session: create no state
+  AgentSession& session = session_it->second;
+  AgentNode& agent = *rib_.find_agent(update.agent);
   const proto::Envelope& envelope = update.envelope;
-  if (envelope.ts_echo_us != 0) {
+  if (envelope.ts_echo_us != 0 && session.latency != nullptr &&
+      sim_.now() >= static_cast<sim::TimeUs>(envelope.ts_echo_us)) {
     // End-to-end control latency: a timestamp we stamped on an outgoing
     // message, carried to the agent, echoed on its next message, and now
     // reaching the RIB apply -- wire both ways plus every queueing stage.
-    auto link_it = links_.find(update.agent);
-    if (link_it != links_.end() && link_it->second.latency != nullptr &&
-        sim_.now() >= static_cast<sim::TimeUs>(envelope.ts_echo_us)) {
-      link_it->second.latency->observe(
-          static_cast<double>(sim_.now() - static_cast<sim::TimeUs>(envelope.ts_echo_us)));
-    }
+    session.latency->observe(
+        static_cast<double>(sim_.now() - static_cast<sim::TimeUs>(envelope.ts_echo_us)));
   }
-  AgentNode& agent = rib_.agent(update.agent);
   // Session fencing: a message carrying an epoch older than the agent's
   // current session is a straggler from before a restart and must not
   // mutate the RIB. Epoch 0 is the wildcard (pre-epoch senders).
@@ -360,16 +356,16 @@ void ShardCore::apply_update(const PendingUpdate& update) {
     begin_agent_session(update.agent, update.epoch);
     agent.state = SessionState::resyncing;
     emit_lifecycle_event(update.agent, proto::EventType::agent_reconnected);
-    request_resync(update.agent);
+    request_resync(update.agent, session);
   }
-  agent.last_heard = sim_.now();
+  session.last_heard = sim_.now();
   if (agent.state == SessionState::down && envelope.type != MessageType::hello) {
     // Heard again without a restart: the partition healed. Commands sent
     // into the outage were lost, so re-sync the agent's session state.
     // (A hello runs its own re-sync in on_agent_hello.)
     agent.state = SessionState::resyncing;
     emit_lifecycle_event(update.agent, proto::EventType::agent_reconnected);
-    request_resync(update.agent);
+    request_resync(update.agent, session);
   } else if (agent.state == SessionState::stale) {
     agent.state = SessionState::up;
   }
@@ -378,7 +374,7 @@ void ShardCore::apply_update(const PendingUpdate& update) {
   switch (envelope.type) {
     case MessageType::hello: {
       auto hello = proto::unpack<proto::Hello>(envelope);
-      if (hello.ok()) on_agent_hello(update.agent, *hello);
+      if (hello.ok()) on_agent_hello(update.agent, session, *hello);
       break;
     }
     case MessageType::echo_reply: {
@@ -399,7 +395,7 @@ void ShardCore::apply_update(const PendingUpdate& update) {
       // The config reply is the last leg of the re-sync handshake.
       if (agent.state == SessionState::resyncing) {
         agent.state = SessionState::up;
-        mark_resynced(update.agent);
+        mark_resynced(update.agent, session);
       }
       break;
     }
@@ -422,10 +418,7 @@ void ShardCore::apply_update(const PendingUpdate& update) {
       // Stats replies do not echo the request xid; the first report
       // completes the tracked request via its request_id.
       complete_stats_request(update.agent, reply->request_id);
-      if (reply->subframe > agent.last_subframe) {
-        agent.last_subframe = reply->subframe;
-        agent.last_subframe_at = sim_.now();
-      }
+      agent.last_subframe = std::max(agent.last_subframe, reply->subframe);
       for (const auto& report : reply->ue_reports) {
         UeNode* ue = agent.find_ue(report.rnti);
         if (ue == nullptr) {
@@ -449,10 +442,7 @@ void ShardCore::apply_update(const PendingUpdate& update) {
       auto event = proto::unpack<proto::EventNotification>(envelope);
       if (!event.ok()) break;
       if (event->event == proto::EventType::subframe_tick) {
-        if (event->subframe > agent.last_subframe) {
-          agent.last_subframe = event->subframe;
-          agent.last_subframe_at = sim_.now();
-        }
+        agent.last_subframe = std::max(agent.last_subframe, event->subframe);
         break;  // sync ticks are not app events
       }
       if (event->event == proto::EventType::ue_detach && event->rnti != lte::kInvalidRnti) {
@@ -466,10 +456,10 @@ void ShardCore::apply_update(const PendingUpdate& update) {
         // The agent echoes the policy's envelope xid; surface it in the
         // event body so apps can correlate too.
         if (event->xid == 0) event->xid = envelope.xid;
-        note_policy_verdict(update.agent, *event);
+        note_policy_verdict(update.agent, session, *event);
       }
       if (event->event == proto::EventType::vsf_quarantined) {
-        rollback_policy(update.agent, *event);
+        rollback_policy(update.agent, session, *event);
       }
       event_queue_.push_back(Event{update.agent, *event});
       break;
@@ -482,8 +472,8 @@ void ShardCore::apply_update(const PendingUpdate& update) {
   }
 }
 
-void ShardCore::on_agent_hello(AgentId id, const proto::Hello& hello) {
-  AgentNode& agent = rib_.agent(id);
+void ShardCore::on_agent_hello(AgentId id, AgentSession& session, const proto::Hello& hello) {
+  AgentNode& agent = *rib_.find_agent(id);
   const bool restarted = hello.epoch > agent.epoch && agent.epoch != 0;
   const bool was_down = agent.state == SessionState::down;
   if (hello.epoch > agent.epoch) begin_agent_session(id, hello.epoch);
@@ -494,20 +484,20 @@ void ShardCore::on_agent_hello(AgentId id, const proto::Hello& hello) {
   if (restarted || was_down) {
     emit_lifecycle_event(id, proto::EventType::agent_reconnected);
   }
-  request_resync(id);
+  request_resync(id, session);
 }
 
 // -------------------------------------------------------- session lifecycle
 
-void ShardCore::resync_agent(AgentId id) {
-  AgentNode& agent = rib_.agent(id);
-  if (agent.state == SessionState::resyncing && !resync_started_at_.contains(id)) {
-    resync_started_at_[id] = sim_.now();
+void ShardCore::resync_agent(AgentId id, AgentSession& session) {
+  AgentNode& agent = *rib_.find_agent(id);
+  if (agent.state == SessionState::resyncing && !session.resync_started_at) {
+    session.resync_started_at = sim_.now();
   }
   // Warm restore: the agent's configuration came from the checkpoint, so
   // the three config fetch round-trips are skipped -- the delta re-sync is
   // just re-arming reports and subscriptions.
-  const bool delta = warm_restored_.contains(id) && !agent.cells.empty();
+  const bool delta = session.warm_restored && !agent.cells.empty();
   if (config_.auto_configure && !delta) {
     (void)send_to(id, proto::EnbConfigRequest{}, /*track=*/true);
     (void)send_to(id, proto::UeConfigRequest{}, /*track=*/true);
@@ -525,12 +515,12 @@ void ShardCore::resync_agent(AgentId id) {
       agent.state = SessionState::up;
       dirty_agents_.insert(id);
     }
-    mark_resynced(id);
+    mark_resynced(id, session);
   }
 }
 
 void ShardCore::begin_agent_session(AgentId id, std::uint32_t epoch) {
-  AgentNode& agent = rib_.agent(id);
+  AgentNode& agent = *rib_.find_agent(id);
   if (agent.epoch != 0) {
     ++agent.reconnects;
     // Fence the previous session: queued updates and in-flight requests
@@ -540,7 +530,7 @@ void ShardCore::begin_agent_session(AgentId id, std::uint32_t epoch) {
     // Verdicts for the old session's policies will never arrive; the
     // applied history survives (it is knowledge about implementations,
     // not about the session).
-    if (auto pit = policies_.find(id); pit != policies_.end()) pit->second.pending.clear();
+    sessions_.at(id).pending_policies.clear();
     FLEXRAN_LOG(info, "master") << "agent " << id << " restarted: epoch " << agent.epoch
                                 << " -> " << epoch;
   }
@@ -548,20 +538,23 @@ void ShardCore::begin_agent_session(AgentId id, std::uint32_t epoch) {
 }
 
 void ShardCore::mark_agent_down(AgentId id, const std::string& reason) {
-  AgentNode& agent = rib_.agent(id);
+  auto it = sessions_.find(id);
+  if (it == sessions_.end()) return;
+  AgentSession& session = it->second;
+  AgentNode& agent = *rib_.find_agent(id);
   if (agent.state == SessionState::down) return;
   agent.state = SessionState::down;
   dirty_agents_.insert(id);
   // A downed agent neither waits for a re-sync token nor keeps its
   // re-sync clock running (it restarts from scratch when heard again).
-  resync_waiting_.erase(id);
+  session.resync_waiting = false;
   std::erase(resync_queue_, id);
-  resync_started_at_.erase(id);
+  session.resync_started_at.reset();
   // The session is over; whatever it still had queued or outstanding dies
   // with it. A surviving agent is re-synced when it is heard again.
   purge_pending(id, std::numeric_limits<std::uint32_t>::max());
   fail_agent_requests(id, "agent disconnected");
-  if (auto pit = policies_.find(id); pit != policies_.end()) pit->second.pending.clear();
+  session.pending_policies.clear();
   emit_lifecycle_event(id, proto::EventType::agent_disconnected);
   FLEXRAN_LOG(warn, "master") << "agent " << id << " down: " << reason;
 }
@@ -617,14 +610,14 @@ void ShardCore::sweep_requests() {
       ++requests_retried_;
       request.timeout *= 2;  // back off: the link may be congested, not dead
       request.deadline = sim_.now() + request.timeout;
-      auto link = links_.find(request.agent);
-      if (link != links_.end() && link->second.transport != nullptr) {
+      auto session = sessions_.find(request.agent);
+      if (session != sessions_.end() && session->second.transport != nullptr) {
         // Reuse the category and traffic class captured at enqueue time:
         // recomputing from (type, empty body) misbuckets body-dependent
         // types, and a classless send would bypass class-aware accounting.
-        link->second.tx.record(request.category,
-                               request.wire.size() + net::kFrameHeaderBytes);
-        (void)link->second.transport->send(request.cls, request.wire);
+        session->second.tx.record(request.category,
+                                  request.wire.size() + net::kFrameHeaderBytes);
+        (void)session->second.transport->send(request.cls, request.wire);
       }
       ++it;
     } else {
@@ -651,40 +644,38 @@ void ShardCore::emit_lifecycle_event(AgentId id, proto::EventType type,
 
 // ------------------------------------------------- policy rollback state
 
-void ShardCore::note_policy_verdict(AgentId id, const proto::EventNotification& event) {
-  auto pit = policies_.find(id);
-  if (pit == policies_.end()) return;
-  auto& state = pit->second;
-  auto it = state.pending.find(event.xid);
-  if (it == state.pending.end()) return;
+void ShardCore::note_policy_verdict(AgentId id, AgentSession& session,
+                                    const proto::EventNotification& event) {
+  auto it = session.pending_policies.find(event.xid);
+  if (it == session.pending_policies.end()) return;
+  auto& history = session.policy_history;
   if (event.event == proto::EventType::policy_applied) {
     // Promote to last-known-good (dedup against the current head so a
     // rollback re-send does not fill the history with copies).
-    if (state.history.empty() || state.history.front() != it->second) {
-      state.history.push_front(std::move(it->second));
-      if (state.history.size() > kPolicyHistoryCap) state.history.pop_back();
+    if (history.empty() || history.front() != it->second) {
+      history.push_front(std::move(it->second));
+      if (history.size() > kPolicyHistoryCap) history.pop_back();
     }
   } else {
     ++policies_rejected_;
     FLEXRAN_LOG(warn, "master") << "agent " << id << " rejected policy (xid " << event.xid
                                 << "): " << event.detail;
   }
-  state.pending.erase(it);
+  session.pending_policies.erase(it);
 }
 
-void ShardCore::rollback_policy(AgentId id, const proto::EventNotification& event) {
-  auto pit = policies_.find(id);
-  if (pit == policies_.end()) return;
-  auto& state = pit->second;
+void ShardCore::rollback_policy(AgentId id, AgentSession& session,
+                                const proto::EventNotification& event) {
+  auto& history = session.policy_history;
   // A policy naming the quarantined implementation must not be promoted to
   // last-known-good even if it once applied cleanly -- purge it, then roll
   // back to the newest survivor.
   if (!event.implementation.empty()) {
-    std::erase_if(state.history, [&](const std::string& yaml) {
+    std::erase_if(history, [&](const std::string& yaml) {
       return yaml.find(event.implementation) != std::string::npos;
     });
   }
-  if (state.history.empty()) {
+  if (history.empty()) {
     FLEXRAN_LOG(warn, "master") << "agent " << id << " quarantined "
                                 << event.implementation << " but no known-good policy recorded";
     return;
@@ -692,13 +683,13 @@ void ShardCore::rollback_policy(AgentId id, const proto::EventNotification& even
   ++policy_rollbacks_;
   FLEXRAN_LOG(warn, "master") << "agent " << id << " quarantined " << event.implementation
                               << "; rolling back to last-known-good policy";
-  (void)send_policy(id, state.history.front());
+  (void)send_policy(id, history.front());
 }
 
 std::string ShardCore::last_known_good_policy(AgentId agent) const {
-  auto it = policies_.find(agent);
-  if (it == policies_.end() || it->second.history.empty()) return "";
-  return it->second.history.front();
+  auto it = sessions_.find(agent);
+  if (it == sessions_.end() || it->second.policy_history.empty()) return "";
+  return it->second.policy_history.front();
 }
 
 // ---------------------------------------------------------- crash recovery
@@ -713,30 +704,28 @@ void ShardCore::restart() {
   pending_.remove_if([](const PendingUpdate&) { return true; });
   event_queue_.clear();
   inflight_.clear();
-  policies_.clear();
-  original_reports_.clear();
   resync_queue_.clear();
-  resync_waiting_.clear();
-  resync_started_at_.clear();
-  warm_restored_.clear();
-  recovery_expected_.clear();
-  recovery_resynced_.clear();
-  for (const auto& [id, link] : links_) {
-    (void)link;
-    arbiter_.prune_before(id, std::numeric_limits<std::int64_t>::max());
-  }
   throttle_multiplier_ = 1;
   critical_shedding_cycles_ = 0;
   checkpoint_loaded_ = false;
-  // Forget the RIB, keeping a down-state husk per live connection so the
-  // readiness barrier knows the fleet it is waiting for.
+  // Forget the RIB and every session's volatile state, keeping the
+  // connection plus a down-state husk per live one so the readiness
+  // barrier knows the fleet it is waiting for. Sessions restored from the
+  // last checkpoint die too; load_checkpoint() below brings them back.
   rib_ = Rib{};
-  for (const auto& [id, link] : links_) {
-    (void)link;
+  std::erase_if(sessions_, [](const auto& entry) { return entry.second.transport == nullptr; });
+  for (auto& [id, session] : sessions_) {
+    arbiter_.prune_before(id, std::numeric_limits<std::int64_t>::max());
+    AgentSession fresh;
+    fresh.transport = session.transport;
+    fresh.tx = session.tx;
+    fresh.rx = session.rx;
+    fresh.latency = session.latency;
+    fresh.recovery_expected = true;
+    session = std::move(fresh);
     AgentNode& node = rib_.agent(id);
     node.id = id;
     node.state = SessionState::down;
-    recovery_expected_.insert(id);
     dirty_agents_.insert(id);
   }
   rib_structure_changed_ = true;
@@ -746,40 +735,42 @@ void ShardCore::restart() {
     last_token_refill_ = sim_.now();
   }
   load_checkpoint();
-  if (config_.recovery.enabled && !recovery_expected_.empty()) {
+  const std::size_t expected = count_sessions(&AgentSession::recovery_expected);
+  if (config_.recovery.enabled && expected > 0) {
     recovering_ = true;
     recovery_started_at_ = sim_.now();
     recovery_ready_at_ = 0;
   }
   FLEXRAN_LOG(warn, "master") << "restarted (incarnation " << incarnation_ << ", "
                               << (checkpoint_loaded_ ? "warm" : "cold") << ", expecting "
-                              << recovery_expected_.size() << " agents)";
+                              << expected << " agents)";
   // Announce the new incarnation so agents learn of the restart from the
   // first frame instead of discovering it through fenced traffic.
-  for (const auto& [id, link] : links_) {
-    (void)link;
+  for (const auto& [id, session] : sessions_) {
+    if (session.transport == nullptr) continue;
     proto::EchoRequest echo;
     echo.timestamp_us = sim_.now();
     (void)send_to(id, echo);
   }
 }
 
-void ShardCore::request_resync(AgentId id) {
+void ShardCore::request_resync(AgentId id, AgentSession& session) {
   if (!config_.recovery.enabled || config_.recovery.resync_tokens_per_s <= 0.0) {
-    resync_agent(id);  // pacing off: the seed path
+    resync_agent(id, session);  // pacing off: the seed path
     return;
   }
   refill_resync_tokens();
   if (resync_tokens_ >= 1.0 && resync_queue_.empty()) {
     resync_tokens_ -= 1.0;
     ++resyncs_admitted_;
-    resync_agent(id);
+    resync_agent(id, session);
     return;
   }
   // No token (or a queue ahead): defer. The agent stays `resyncing`; every
   // envelope it receives meanwhile carries the retry-after hint, and the
   // master drives the re-sync itself once a token frees up.
-  if (resync_waiting_.insert(id).second) {
+  if (!session.resync_waiting) {
+    session.resync_waiting = true;
     resync_queue_.push_back(id);
     ++resyncs_paced_;
     // Deliver the hint promptly rather than waiting for scheduled traffic.
@@ -807,50 +798,57 @@ void ShardCore::admit_resyncs() {
   while (!resync_queue_.empty() && resync_tokens_ >= 1.0) {
     const AgentId id = resync_queue_.front();
     resync_queue_.pop_front();
-    resync_waiting_.erase(id);
-    const AgentNode* known = rib_.find_agent(id);
-    if (known == nullptr || known->state == SessionState::down) continue;
+    AgentSession& session = sessions_.at(id);
+    session.resync_waiting = false;
+    if (rib_.find_agent(id)->state == SessionState::down) continue;
     // The wait does not count as silence: restart the sweep clock now or
     // a long deferral would trip the disconnect timeout before the just
     // -issued config fetches can answer.
-    rib_.agent(id).last_heard = sim_.now();
+    session.last_heard = sim_.now();
     resync_tokens_ -= 1.0;
     ++resyncs_admitted_;
-    resync_agent(id);
+    resync_agent(id, session);
   }
 }
 
-void ShardCore::mark_resynced(AgentId id) {
-  if (auto it = resync_started_at_.find(id); it != resync_started_at_.end()) {
+void ShardCore::mark_resynced(AgentId id, AgentSession& session) {
+  if (session.resync_started_at) {
     if (resync_duration_ != nullptr) {
-      resync_duration_->observe(static_cast<double>(sim_.now() - it->second));
+      resync_duration_->observe(static_cast<double>(sim_.now() - *session.resync_started_at));
     }
-    resync_started_at_.erase(it);
+    session.resync_started_at.reset();
   }
   // Whatever warm state sped up this re-sync is consumed: a later re-sync
   // (agent crash, partition) must fetch fresh configuration.
-  warm_restored_.erase(id);
+  session.warm_restored = false;
   if (!recovering_) return;
-  if (recovery_resynced_.insert(id).second) {
+  if (!session.recovery_resynced) {
+    session.recovery_resynced = true;
     // The session is serviceable again: re-own the delegated control state
     // by re-pushing the last-known-good policy from the checkpoint.
-    if (auto pit = policies_.find(id); pit != policies_.end() && !pit->second.history.empty()) {
-      if (send_policy(id, pit->second.history.front()).ok()) ++policies_repushed_;
+    if (!session.policy_history.empty() &&
+        send_policy(id, session.policy_history.front()).ok()) {
+      ++policies_repushed_;
     }
   }
-  if (!recovery_expected_.empty() &&
-      static_cast<double>(recovery_resynced_.size()) >=
-          config_.recovery.readiness_quorum * static_cast<double>(recovery_expected_.size())) {
+  const std::size_t expected = count_sessions(&AgentSession::recovery_expected);
+  if (expected > 0 && static_cast<double>(agents_resynced()) >=
+                          config_.recovery.readiness_quorum * static_cast<double>(expected)) {
     finish_recovery("quorum");
   }
+}
+
+std::size_t ShardCore::count_sessions(bool AgentSession::*flag) const {
+  return static_cast<std::size_t>(std::count_if(
+      sessions_.begin(), sessions_.end(), [flag](const auto& entry) { return entry.second.*flag; }));
 }
 
 void ShardCore::finish_recovery(const char* how) {
   if (!recovering_) return;
   recovering_ = false;
   recovery_ready_at_ = sim_.now();
-  FLEXRAN_LOG(info, "master") << "recovery complete (" << how << "): "
-                              << recovery_resynced_.size() << "/" << recovery_expected_.size()
+  FLEXRAN_LOG(info, "master") << "recovery complete (" << how << "): " << agents_resynced()
+                              << "/" << count_sessions(&AgentSession::recovery_expected)
                               << " agents re-synced in "
                               << (recovery_ready_at_ - recovery_started_at_) / 1000 << " ms";
 }
@@ -933,12 +931,11 @@ proto::MasterCheckpoint ShardCore::build_checkpoint() const {
   checkpoint.incarnation = incarnation_;
   checkpoint.saved_at_us = static_cast<std::uint64_t>(sim_.now());
   checkpoint.shard = shard_;
-  // The full link set, including agents whose durable state is still empty
-  // (no hello yet): failover needs to know every agent the shard owned,
-  // not just the ones worth restoring warm.
-  for (const auto& [id, link] : links_) {
-    (void)link;
-    checkpoint.agent_ids.push_back(id);
+  // Every connected agent, including those whose durable state is still
+  // empty (no hello yet): failover needs to know every agent the shard
+  // owned, not just the ones worth restoring warm.
+  for (const auto& [id, session] : sessions_) {
+    if (session.transport != nullptr) checkpoint.agent_ids.push_back(id);
   }
   for (const auto& [id, agent] : rib_.agents()) {
     // Only durable state: identity, configuration, epoch. Agents that never
@@ -953,7 +950,8 @@ proto::CheckpointAgent ShardCore::export_agent(AgentId id) const {
   proto::CheckpointAgent saved;
   saved.id = id;
   const AgentNode* agent = rib_.find_agent(id);
-  if (agent == nullptr) return saved;
+  auto session = sessions_.find(id);
+  if (agent == nullptr || session == sessions_.end()) return saved;
   saved.name = agent->name;
   saved.capabilities = agent->capabilities;
   saved.epoch = agent->epoch;
@@ -962,12 +960,9 @@ proto::CheckpointAgent ShardCore::export_agent(AgentId id) const {
     (void)cell_id;
     saved.config.cells.push_back(proto::CellConfigMsg::from(cell.config));
   }
-  for (const auto& [key, report] : original_reports_) {
-    if (key.first == id) saved.reports.push_back(report);
-  }
-  if (auto it = policies_.find(id); it != policies_.end()) {
-    saved.policy_history.assign(it->second.history.begin(), it->second.history.end());
-  }
+  for (const auto& entry : session->second.reports) saved.reports.push_back(entry.second);
+  saved.policy_history.assign(session->second.policy_history.begin(),
+                              session->second.policy_history.end());
   return saved;
 }
 
@@ -983,14 +978,11 @@ void ShardCore::import_durable(const proto::CheckpointAgent& saved) {
   for (const auto& cell : saved.config.cells) {
     node.cells[cell.cell_id].config = cell.to_cell_config();
   }
-  for (const auto& report : saved.reports) {
-    original_reports_[{id, report.request_id}] = report;
-  }
-  if (!saved.policy_history.empty()) {
-    policies_[id].history.assign(saved.policy_history.begin(), saved.policy_history.end());
-  }
-  warm_restored_.insert(id);
-  recovery_expected_.insert(id);
+  AgentSession& session = sessions_[id];
+  for (const auto& report : saved.reports) session.reports[report.request_id] = report;
+  session.policy_history.assign(saved.policy_history.begin(), saved.policy_history.end());
+  session.warm_restored = true;
+  session.recovery_expected = true;
   dirty_agents_.insert(id);
 }
 
@@ -1002,20 +994,20 @@ void ShardCore::bump_incarnation(std::uint32_t floor) {
 void ShardCore::adopt_agent(net::Transport& transport, AgentId id,
                             const proto::CheckpointAgent* durable) {
   add_agent(transport, id);  // rebinds the connection's callbacks to this core
-  AgentNode& node = rib_.agent(id);
+  AgentSession& session = sessions_.at(id);
   // The agent keeps talking on the surviving connection; until its next
   // message (or re-hello against this core's incarnation) lands here, the
   // session is down from this core's point of view. Its first frame walks
   // the reconnect path into the paced re-sync admission.
-  node.state = SessionState::down;
+  rib_.find_agent(id)->state = SessionState::down;
   dirty_agents_.insert(id);
   if (durable != nullptr && durable->id == id) {
     import_durable(*durable);  // warm handoff: next re-sync is a delta
   } else if (config_.recovery.enabled) {
-    recovery_expected_.insert(id);
+    session.recovery_expected = true;
   }
   if (config_.recovery.enabled) {
-    recovery_resynced_.erase(id);
+    session.recovery_resynced = false;
     if (!recovering_) {
       // Raise the readiness barrier for the adopted set: commands to
       // not-yet-resynced agents are held, exactly as after a restart.
@@ -1048,14 +1040,15 @@ void ShardCore::dispatch_events() {
 
 template <typename M>
 util::Status ShardCore::send_to(AgentId agent, const M& message, bool track) {
-  auto it = links_.find(agent);
-  if (it == links_.end() || it->second.transport == nullptr) {
+  auto it = sessions_.find(agent);
+  if (it == sessions_.end() || it->second.transport == nullptr) {
     return util::Error::not_found("no transport for agent");
   }
+  AgentSession& session = it->second;
   proto::Envelope envelope;
   envelope.type = M::kType;
   envelope.xid = next_xid_++;
-  envelope.epoch = rib_.agent(agent).epoch;
+  envelope.epoch = rib_.find_agent(agent)->epoch;
   if (config_.overload.ingest.enabled()) {
     // Piggyback the overload state + throttle hint on every outgoing
     // message while non-normal; both encode to nothing when healthy.
@@ -1069,7 +1062,7 @@ util::Status ShardCore::send_to(AgentId agent, const M& message, bool track) {
     // full re-sync the admission gate deferred also get the retry-after
     // hint piggybacked (the throttle-hint idiom).
     envelope.master_epoch = incarnation_;
-    if (resync_waiting_.contains(agent)) {
+    if (session.resync_waiting) {
       envelope.retry_after_ms =
           static_cast<std::uint32_t>(config_.recovery.resync_retry_after_ms);
     }
@@ -1099,7 +1092,7 @@ util::Status ShardCore::send_to(AgentId agent, const M& message, bool track) {
   proto::encode_envelope(send_enc_, envelope, message);
   const auto wire = send_enc_.bytes();
   const net::TrafficClass cls = proto::traffic_class(message);
-  it->second.tx.record(category, wire.size() + net::kFrameHeaderBytes);
+  session.tx.record(category, wire.size() + net::kFrameHeaderBytes);
   if (track && config_.request_timeout_us > 0) {
     PendingRequest request;
     request.agent = agent;
@@ -1118,7 +1111,7 @@ util::Status ShardCore::send_to(AgentId agent, const M& message, bool track) {
     request.deadline = sim_.now() + request.timeout;
     inflight_.emplace(envelope.xid, std::move(request));
   }
-  return it->second.transport->send(cls, wire);
+  return session.transport->send(cls, wire);
 }
 
 std::int64_t ShardCore::agent_subframe(AgentId agent) const {
@@ -1167,14 +1160,16 @@ util::Status ShardCore::send_scell_command(AgentId agent,
 }
 
 util::Status ShardCore::request_stats(AgentId agent, const proto::StatsRequest& request) {
-  if (config_.overload.ingest.enabled()) {
+  auto session = sessions_.find(agent);
+  if (config_.overload.ingest.enabled() && session != sessions_.end()) {
+    auto& reports = session->second.reports;
     if (request.flags == 0) {
-      original_reports_.erase({agent, request.request_id});
+      reports.erase(request.request_id);
     } else if (request.mode == proto::ReportMode::periodic) {
       // Capture the as-issued request so throttling can stretch it and
       // recovery can restore it. Under an active throttle the agent gets
       // the stretched period right away.
-      original_reports_[{agent, request.request_id}] = request;
+      reports[request.request_id] = request;
       if (throttle_multiplier_ > 1) {
         proto::StatsRequest stretched = request;
         stretched.periodicity_ttis =
@@ -1215,18 +1210,18 @@ util::Status ShardCore::send_policy(AgentId agent, const std::string& yaml) {
   // that xid so the agent's echoed verdict can resolve it.
   const std::uint32_t xid = next_xid_;
   auto status = send_to(agent, policy);
-  if (status.ok()) policies_[agent].pending.emplace(xid, yaml);
+  if (status.ok()) sessions_.at(agent).pending_policies.emplace(xid, yaml);
   return status;
 }
 
 const proto::SignalingAccountant& ShardCore::tx_accounting(AgentId agent) const {
-  auto it = links_.find(agent);
-  return it == links_.end() ? empty_accounting_ : it->second.tx;
+  auto it = sessions_.find(agent);
+  return it == sessions_.end() ? empty_accounting_ : it->second.tx;
 }
 
 const proto::SignalingAccountant& ShardCore::rx_accounting(AgentId agent) const {
-  auto it = links_.find(agent);
-  return it == links_.end() ? empty_accounting_ : it->second.rx;
+  auto it = sessions_.find(agent);
+  return it == sessions_.end() ? empty_accounting_ : it->second.rx;
 }
 
 // --------------------------------------------- observability registration
@@ -1242,8 +1237,8 @@ constexpr net::TrafficClass kAllClasses[] = {
 }  // namespace
 
 const obs::Histogram* ShardCore::control_latency(AgentId agent) const {
-  auto it = links_.find(agent);
-  return it == links_.end() ? nullptr : it->second.latency;
+  auto it = sessions_.find(agent);
+  return it == sessions_.end() ? nullptr : it->second.latency;
 }
 
 std::string ShardCore::probe_name(
@@ -1387,8 +1382,9 @@ void ShardCore::register_agent_probes(AgentId id) {
   }
   // End-to-end control-latency histogram, fed by the Envelope timestamp
   // echo in apply_update. Buckets 250us .. ~512ms (doubling).
-  links_[id].latency = &m.histogram(probe_name("control_latency_us", {{"agent", agent_label}}),
-                                    obs::exponential_bounds(250.0, 2.0, 12));
+  sessions_.at(id).latency =
+      &m.histogram(probe_name("control_latency_us", {{"agent", agent_label}}),
+                   obs::exponential_bounds(250.0, 2.0, 12));
 }
 
 void ShardCore::register_app_probes(const std::string& name) {

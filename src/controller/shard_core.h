@@ -142,6 +142,10 @@ class ShardCore final : public NorthboundApi {
   /// (also the RIB root key), allocated by the Coordinator so it stays
   /// unique across shards.
   void add_agent(net::Transport& transport, AgentId id);
+  /// Forgets the agent everywhere: detaches the connection's receive and
+  /// disconnect callbacks (the transport is not owned and stays open) and
+  /// drops all per-agent state -- RIB node, session record, queued updates
+  /// and events, in-flight requests, re-sync queue slot.
   void remove_agent(AgentId id);
 
   /// Runs one task-manager cycle; wire this to the TtiTicker (real-time
@@ -305,7 +309,7 @@ class ShardCore final : public NorthboundApi {
   /// A checkpoint was loaded at construction or the last restart().
   bool checkpoint_loaded() const { return checkpoint_loaded_; }
   /// Agents that completed their re-sync since the last restart.
-  std::size_t agents_resynced() const { return recovery_resynced_.size(); }
+  std::size_t agents_resynced() const { return count_sessions(&AgentSession::recovery_resynced); }
   /// Wall-clock (simulated) duration of the last completed recovery;
   /// 0 = none completed yet (or still recovering).
   sim::TimeUs last_recovery_duration() const {
@@ -375,13 +379,34 @@ class ShardCore final : public NorthboundApi {
   const obs::Histogram* control_latency(AgentId agent) const;
 
  private:
-  struct AgentLink {
+  /// Everything this core keeps about one agent besides its RIB node;
+  /// created and erased together with that node. An agent restored from a
+  /// checkpoint but not connected has a null transport.
+  struct AgentSession {
+    // The connection survives restart(); everything below `latency` dies.
     net::Transport* transport = nullptr;  // not owned
     proto::SignalingAccountant tx;
     proto::SignalingAccountant rx;
-    /// End-to-end control-latency histogram (registry-owned); non-null only
-    /// while observability is enabled.
+    /// Control-latency histogram (registry-owned); null while obs is off.
     obs::Histogram* latency = nullptr;
+    /// Last arrival of any message: the silence sweep's clock.
+    sim::TimeUs last_heard = 0;
+    /// Policies awaiting the agent's verdict, by envelope xid, and the
+    /// applied ones, newest first (the rollback target).
+    std::map<std::uint32_t, std::string> pending_policies;
+    std::deque<std::string> policy_history;
+    /// Periodic stats requests as issued, by request_id: what throttling
+    /// stretches and recovery restores.
+    std::map<std::uint32_t, proto::StatsRequest> reports;
+    /// Start of the in-progress re-sync (time-to-resync histogram).
+    std::optional<sim::TimeUs> resync_started_at;
+    /// Parked in resync_queue_; sends carry the retry-after hint.
+    bool resync_waiting = false;
+    /// Config came from a checkpoint: the next re-sync is a delta.
+    bool warm_restored = false;
+    /// In the fleet the readiness barrier waits for / re-synced since.
+    bool recovery_expected = false;
+    bool recovery_resynced = false;
   };
 
   struct PendingUpdate {
@@ -414,15 +439,10 @@ class ShardCore final : public NorthboundApi {
     int attempts = 0;
   };
 
-  /// Per-agent policy bookkeeping for rollback: policies sent but not yet
-  /// acknowledged (keyed by envelope xid, which the agent echoes in its
-  /// policy_applied / policy_rejected verdict) and a bounded history of
-  /// applied policies, newest first.
-  struct PolicyState {
-    std::map<std::uint32_t, std::string> pending;
-    std::deque<std::string> history;
-  };
   static constexpr std::size_t kPolicyHistoryCap = 8;
+
+  /// Sessions with `flag` set (the readiness barrier's fleet counts).
+  std::size_t count_sessions(bool AgentSession::*flag) const;
 
   template <typename M>
   util::Status send_to(AgentId agent, const M& message, bool track = false);
@@ -458,14 +478,15 @@ class ShardCore final : public NorthboundApi {
   void publish_snapshot();
   void apply_update(const PendingUpdate& update);
   void dispatch_events();
-  void on_agent_hello(AgentId id, const proto::Hello& hello);
+  void on_agent_hello(AgentId id, AgentSession& session, const proto::Hello& hello);
 
   // ---- session lifecycle ----------------------------------------------------
   /// Re-sends the configuration fetch, default stats request and event
   /// subscriptions (the hello handshake minus identity).
-  void resync_agent(AgentId id);
+  void resync_agent(AgentId id, AgentSession& session);
   /// Transitions the agent to down: purges its queued updates, fails its
-  /// in-flight requests and emits AGENT_DISCONNECTED.
+  /// in-flight requests and emits AGENT_DISCONNECTED (no-op without a
+  /// session).
   void mark_agent_down(AgentId id, const std::string& reason);
   /// Starts a new session at `epoch`: fences the old session's queued
   /// updates and in-flight requests.
@@ -478,16 +499,18 @@ class ShardCore final : public NorthboundApi {
   void emit_lifecycle_event(AgentId id, proto::EventType type, std::uint32_t xid = 0);
   /// Resolves a pending policy against the agent's verdict (applied ->
   /// history, rejected -> dropped).
-  void note_policy_verdict(AgentId id, const proto::EventNotification& event);
+  void note_policy_verdict(AgentId id, AgentSession& session,
+                           const proto::EventNotification& event);
   /// On vsf_quarantined: purges history entries naming the quarantined
   /// implementation and re-sends the newest survivor (last-known-good).
-  void rollback_policy(AgentId id, const proto::EventNotification& event);
+  void rollback_policy(AgentId id, AgentSession& session,
+                       const proto::EventNotification& event);
 
   // ---- crash recovery -------------------------------------------------------
   /// Admission-gated entry to resync_agent: consumes a token or parks the
   /// agent in the deferral queue with a retry-after hint. With pacing off
   /// (no token rate) this is resync_agent directly.
-  void request_resync(AgentId id);
+  void request_resync(AgentId id, AgentSession& session);
   /// Refills the token bucket from elapsed simulated time and admits
   /// deferred agents while tokens last.
   void admit_resyncs();
@@ -495,7 +518,7 @@ class ShardCore final : public NorthboundApi {
   /// Resync-completion hook (resyncing -> up): records the time-to-resync,
   /// re-pushes the last-known-good policy during recovery and checks the
   /// readiness quorum.
-  void mark_resynced(AgentId id);
+  void mark_resynced(AgentId id, AgentSession& session);
   void finish_recovery(const char* how);
   /// Loads a checkpoint from the sink into the RIB (identities, configs,
   /// report registrations, policy histories); no-op without a sink or
@@ -522,7 +545,8 @@ class ShardCore final : public NorthboundApi {
   TaskManager task_manager_;
   ConflictArbiter arbiter_;
 
-  std::map<AgentId, AgentLink> links_;
+  /// One record per agent (see AgentSession).
+  std::map<AgentId, AgentSession> sessions_;
   /// Ingest queue feeding the RIB Updater. With an overload budget it
   /// sheds lowest-class-first and coalesces superseded periodic replies;
   /// without one it is a plain FIFO (seed behavior).
@@ -532,12 +556,8 @@ class ShardCore final : public NorthboundApi {
   /// coordinator thread after local dispatch of each event.
   std::function<void(const Event&)> event_tap_;
   std::vector<std::unique_ptr<App>> apps_;
+  /// By xid, across agents: retries go out in xid order.
   std::map<std::uint32_t, PendingRequest> inflight_;
-  std::map<AgentId, PolicyState> policies_;
-  /// Periodic stats requests as originally issued, keyed by
-  /// (agent, request_id) -- what throttling stretches and recovery
-  /// restores.
-  std::map<std::pair<AgentId, std::uint32_t>, proto::StatsRequest> original_reports_;
   OverloadMonitor overload_monitor_;
 
   std::uint32_t next_xid_ = 1;
@@ -571,22 +591,10 @@ class ShardCore final : public NorthboundApi {
   bool recovering_ = false;
   sim::TimeUs recovery_started_at_ = 0;
   sim::TimeUs recovery_ready_at_ = 0;
-  /// The fleet the readiness barrier waits for: live links at restart plus
-  /// agents restored from the checkpoint.
-  std::set<AgentId> recovery_expected_;
-  std::set<AgentId> recovery_resynced_;
-  /// Agents whose configuration came from the checkpoint: their next
-  /// re-sync is a delta (stats + subscriptions only).
-  std::set<AgentId> warm_restored_;
-  /// Admission gate: deferral queue (FIFO) + membership set for dedup and
-  /// O(log n) retry-after stamping in send_to.
+  /// Admission gate: deferred agents in FIFO admission order.
   std::deque<AgentId> resync_queue_;
-  std::set<AgentId> resync_waiting_;
   double resync_tokens_ = 0.0;
   sim::TimeUs last_token_refill_ = 0;
-  /// When each in-progress re-sync started (feeds the time-to-resync
-  /// histogram and the scenario summary).
-  std::map<AgentId, sim::TimeUs> resync_started_at_;
   sim::TimeUs last_checkpoint_at_ = 0;
   /// Non-zero after a failed checkpoint save: the next attempt happens
   /// after this backoff instead of a full period. Doubles per consecutive

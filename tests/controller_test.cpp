@@ -48,7 +48,7 @@ TEST(Rib, ForestStructureAndLookups) {
   EXPECT_EQ(rib.ue_count(), 1u);
   EXPECT_EQ(rib.agent_count(), 1u);
 
-  UeNode* mutable_ue = rib.mutable_ue(1, 70);
+  UeNode* mutable_ue = rib.agent(1).find_ue(70);
   ASSERT_NE(mutable_ue, nullptr);
   mutable_ue->stats.wb_cqi = 9;
   EXPECT_EQ(rib.find_ue(1, 70)->stats.wb_cqi, 9);

@@ -444,9 +444,18 @@ TEST(RequestTracking, RemoveAgentPurgesQueuesAndInflight) {
   // Administrative removal drops the request without reporting a failure.
   EXPECT_EQ(master.requests_failed(), failed);
 
+  // Removal also detached the connection: a late frame on it is not
+  // queued, and its disconnect no longer reaches the shard.
+  ASSERT_TRUE(link_a.b->send(make_stale_stats_reply(/*epoch=*/0, 103)).ok());
+  sim.run();
+  EXPECT_EQ(master.pending_updates(), 1u);
+  link_a.a->inject_disconnect(util::Error::transport_failure("peer reset"));
+  EXPECT_EQ(master.rib().find_agent(first), nullptr);
+
   master.run_cycle();
-  // The queued lifecycle event was purged with the agent: apps never see
-  // events for an agent that no longer exists.
+  // The queued lifecycle event was purged with the agent, and the detached
+  // disconnect queued none: apps never see events for an agent that no
+  // longer exists.
   EXPECT_TRUE(recorder->disconnected.empty());
 }
 

@@ -477,6 +477,8 @@ TEST(CompositeSnapshot, RemoveAgentInvalidatesTheCachedComposite) {
   Testbed testbed(scenario::per_tti_master_config(), 2);
   auto& enb0 = testbed.add_enb(spec(1, 0));
   auto& enb1 = testbed.add_enb(spec(2, 1));
+  verify::InvariantMonitor monitor(testbed.coordinator(), verify::Mode::log);
+  monitor.install();
   testbed.run_ttis(50);
 
   auto& coordinator = testbed.coordinator();
@@ -491,6 +493,17 @@ TEST(CompositeSnapshot, RemoveAgentInvalidatesTheCachedComposite) {
       << "stale composite served after remove_agent";
   EXPECT_NE(after->find_agent(enb1.agent_id), nullptr);
   EXPECT_EQ(coordinator.agent_count(), 1u);
+
+  // The removed eNodeB keeps transmitting on its old connection. Removal
+  // detached the shard from that connection, so nothing it sends may bring
+  // the agent back as an ownerless ghost node.
+  testbed.run_ttis(50);
+  EXPECT_EQ(coordinator.shard(0).rib().find_agent(enb0.agent_id), nullptr)
+      << "removed agent re-created by its own traffic";
+  EXPECT_EQ(coordinator.rib_snapshot()->find_agent(enb0.agent_id), nullptr);
+  EXPECT_EQ(coordinator.rib_snapshot()->agent_count(), 1u);
+  EXPECT_EQ(monitor.violations_total(), 0u)
+      << (monitor.violation_summaries().empty() ? "" : monitor.violation_summaries().front());
 }
 
 // ------------------------------------------- wrong-shard checkpoint gate --

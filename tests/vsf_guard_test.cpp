@@ -430,6 +430,21 @@ TEST(MasterRollback, QuarantineRollsBackToLastKnownGood) {
   EXPECT_EQ(enb.agent->vsf_guard().unscheduled_slots(), 0u);
 }
 
+TEST(MasterRollback, RemovedAgentLeavesNoPolicyHistory) {
+  scenario::Testbed testbed(scenario::per_tti_master_config());
+  auto& enb = testbed.add_enb(basic_spec());
+  testbed.run_ttis(50);
+  ASSERT_TRUE(testbed.master().send_policy(enb.agent_id, kGoodPolicy).ok());
+  testbed.run_ttis(30);
+  ASSERT_EQ(testbed.master().last_known_good_policy(enb.agent_id), kGoodPolicy);
+
+  // Removal forgets the agent everywhere: no rollback target survives it,
+  // and a later export (a drain, a checkpoint) carries no history for it.
+  testbed.coordinator().remove_agent(enb.agent_id);
+  EXPECT_EQ(testbed.master().last_known_good_policy(enb.agent_id), "");
+  EXPECT_TRUE(testbed.master().export_agent(enb.agent_id).policy_history.empty());
+}
+
 TEST(MasterRollback, RemoteSchedulerDemotesOnQuarantineAndRecovers) {
   agent::register_faulty_vsfs();
   scenario::Testbed testbed(scenario::per_tti_master_config());
