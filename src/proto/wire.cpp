@@ -93,10 +93,14 @@ util::Result<WireDecoder::FieldHeader> WireDecoder::next_field() {
   if (type_bits != 0 && type_bits != 1 && type_bits != 2 && type_bits != 5) {
     return util::Error::decode_failure("unsupported wire type");
   }
+  // Range-check before narrowing: field 2^32 + 3 must not alias field 3.
+  const std::uint64_t field = *raw >> 3;
+  if (field == 0 || field > kMaxFieldNumber) {
+    return util::Error::decode_failure("invalid field number");
+  }
   FieldHeader header;
-  header.field = static_cast<int>(*raw >> 3);
+  header.field = static_cast<int>(field);
   header.type = static_cast<WireType>(type_bits);
-  if (header.field <= 0) return util::Error::decode_failure("invalid field number");
   return header;
 }
 

@@ -22,6 +22,9 @@ enum class WireType : std::uint8_t {
   fixed32 = 5,
 };
 
+/// Largest field number protobuf allows (2^29 - 1); larger tags are invalid.
+inline constexpr std::uint64_t kMaxFieldNumber = (std::uint64_t{1} << 29) - 1;
+
 std::uint64_t zigzag_encode(std::int64_t value);
 std::int64_t zigzag_decode(std::uint64_t value);
 

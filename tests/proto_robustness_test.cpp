@@ -423,6 +423,41 @@ TEST(ProtoRobustness, CheckpointOutOfRangeShardStampIsRejected) {
   EXPECT_EQ(top_decoded->shard, std::numeric_limits<int>::max());
 }
 
+// A tag's field number is the varint's upper bits, up to 2^61 - 1 of them.
+// Protobuf caps field numbers at 2^29 - 1; anything above that must be
+// refused rather than narrowed, or field 2^32 + 3 would alias field 3 and
+// silently overwrite a known field (here the envelope xid).
+TEST(ProtoRobustness, FieldNumberAboveProtobufMaxIsRejected) {
+  Envelope valid;
+  valid.type = MessageType::echo_reply;
+  valid.xid = 5;
+  const auto base = valid.encode();
+  const std::uint64_t kMaxField = (std::uint64_t{1} << 29) - 1;
+
+  for (const std::uint64_t field :
+       {(std::uint64_t{1} << 32) + 3, kMaxField + 1, (std::uint64_t{1} << 61) - 1}) {
+    WireEncoder tail;
+    tail.varint(field << 3 | static_cast<std::uint64_t>(WireType::varint));
+    tail.varint(999);
+    std::vector<std::uint8_t> wire = base;
+    wire.insert(wire.end(), tail.bytes().begin(), tail.bytes().end());
+    auto decoded = Envelope::decode(wire);
+    ASSERT_FALSE(decoded.ok()) << "field=" << field << " xid=" << decoded->xid;
+    EXPECT_EQ(decoded.error().code, util::Error::Code::decode_failure) << "field=" << field;
+    EXPECT_EQ(decoded.error().message, "invalid field number") << "field=" << field;
+  }
+
+  // The protobuf maximum itself is a legal (unknown, skipped) field.
+  WireEncoder tail;
+  tail.varint(kMaxField << 3 | static_cast<std::uint64_t>(WireType::varint));
+  tail.varint(999);
+  std::vector<std::uint8_t> wire = base;
+  wire.insert(wire.end(), tail.bytes().begin(), tail.bytes().end());
+  auto decoded = Envelope::decode(wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().message;
+  EXPECT_EQ(decoded->xid, 5u);
+}
+
 // The zero-allocation receive paths (docs/wire_fastpath.md) decode into a
 // long-lived struct instead of a fresh one. A failed decode of hostile
 // bytes must leave that struct reusable: the next valid decode_into must
