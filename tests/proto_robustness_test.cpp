@@ -8,7 +8,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <iomanip>
 #include <limits>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,11 +27,13 @@ using namespace flexran::proto;
 
 /// One decoder surface under test: a valid encoding plus a type-erased
 /// decode that reports success/failure (the value itself is irrelevant --
-/// the sanitizers judge the memory behavior).
+/// the sanitizers judge the memory behavior), and a decode that re-encodes
+/// what it accepted (nullopt when it refused), for the digest guard below.
 struct Surface {
   std::string name;
   std::vector<std::uint8_t> valid;
   std::function<bool(std::span<const std::uint8_t>)> decode;
+  std::function<std::optional<std::vector<std::uint8_t>>(std::span<const std::uint8_t>)> reencode;
 };
 
 template <typename M>
@@ -36,7 +41,26 @@ Surface body_surface(std::string name, const M& sample) {
   WireEncoder enc;
   sample.encode_body(enc);
   return {std::move(name), enc.take(),
-          [](std::span<const std::uint8_t> data) { return M::decode_body(data).ok(); }};
+          [](std::span<const std::uint8_t> data) { return M::decode_body(data).ok(); },
+          [](std::span<const std::uint8_t> data) -> std::optional<std::vector<std::uint8_t>> {
+            auto decoded = M::decode_body(data);
+            if (!decoded.ok()) return std::nullopt;
+            WireEncoder out;
+            decoded->encode_body(out);
+            return out.take();
+          }};
+}
+
+/// Surface for a message with a top-level decode()/encode() pair.
+template <typename M>
+Surface message_surface(std::string name, const M& sample) {
+  return {std::move(name), sample.encode(),
+          [](std::span<const std::uint8_t> data) { return M::decode(data).ok(); },
+          [](std::span<const std::uint8_t> data) -> std::optional<std::vector<std::uint8_t>> {
+            auto decoded = M::decode(data);
+            if (!decoded.ok()) return std::nullopt;
+            return decoded->encode();
+          }};
 }
 
 std::vector<Surface> all_surfaces() {
@@ -53,10 +77,7 @@ std::vector<Surface> all_surfaces() {
   envelope.master_epoch = 2;
   envelope.retry_after_ms = 40;
   envelope.body = {0x08, 0x01};
-  surfaces.push_back({"Envelope", envelope.encode(),
-                      [](std::span<const std::uint8_t> data) {
-                        return Envelope::decode(data).ok();
-                      }});
+  surfaces.push_back(message_surface("Envelope", envelope));
 
   Hello hello;
   hello.enb_id = 17;
@@ -219,10 +240,7 @@ std::vector<Surface> all_surfaces() {
   agent.reports.push_back(stats_request);
   agent.policy_history.push_back(policy.yaml);
   checkpoint.agents.push_back(agent);
-  surfaces.push_back({"MasterCheckpoint", checkpoint.encode(),
-                      [](std::span<const std::uint8_t> data) {
-                        return MasterCheckpoint::decode(data).ok();
-                      }});
+  surfaces.push_back(message_surface("MasterCheckpoint", checkpoint));
 
   return surfaces;
 }
@@ -532,6 +550,213 @@ TEST(ProtoRobustness, ReusedStatsReplySurvivesHostileBytes) {
     EXPECT_EQ(reused.ue_reports[u].bsr_bytes, fresh->ue_reports[u].bsr_bytes);
     ASSERT_EQ(reused.ue_reports[u].rsrp.size(), fresh->ue_reports[u].rsrp.size());
   }
+}
+
+// ---------------------------------------------------- decode-equivalence guard
+//
+// A seeded mutation corpus over every decode surface: bit flips,
+// truncations, inserted bytes and cross-surface splices. Each surface's
+// decoder behavior on that corpus -- accept/refuse per mutant, the bytes an
+// accepted mutant re-encodes to, and the bsr_overflow anomalies it counts --
+// folds into one digest pinned below. A decoder rewrite that changes any
+// verdict or any decoded value on any mutant changes the digest.
+
+/// splitmix64: a fixed, platform-independent sequence for a given seed.
+class Prng {
+ public:
+  explicit Prng(std::uint64_t seed) : state_(seed) {}
+  std::uint64_t next() {
+    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+  std::size_t below(std::size_t bound) { return bound == 0 ? 0 : next() % bound; }
+
+ private:
+  std::uint64_t state_;
+};
+
+/// The mutants of `surfaces[index]`, in a fixed order for a fixed seed.
+std::vector<std::vector<std::uint8_t>> mutants_of(const std::vector<Surface>& surfaces,
+                                                   std::size_t index) {
+  const auto& valid = surfaces[index].valid;
+  Prng prng(0xf1e2a0u + index);
+  std::vector<std::vector<std::uint8_t>> out;
+  for (std::size_t len = 0; len < valid.size(); ++len) {
+    out.emplace_back(valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(len));
+  }
+  for (int round = 0; round < 256; ++round) {  // 1-4 bit flips
+    auto mutant = valid;
+    const std::size_t flips = 1 + prng.below(4);
+    for (std::size_t f = 0; f < flips; ++f) {
+      mutant[prng.below(mutant.size())] ^= static_cast<std::uint8_t>(1u << prng.below(8));
+    }
+    out.push_back(std::move(mutant));
+  }
+  for (int round = 0; round < 128; ++round) {  // 1-3 inserted bytes
+    auto mutant = valid;
+    const std::size_t inserts = 1 + prng.below(3);
+    for (std::size_t i = 0; i < inserts; ++i) {
+      const auto at = static_cast<std::ptrdiff_t>(prng.below(mutant.size() + 1));
+      mutant.insert(mutant.begin() + at, static_cast<std::uint8_t>(prng.next()));
+    }
+    out.push_back(std::move(mutant));
+  }
+  for (int round = 0; round < 128; ++round) {  // prefix of this + suffix of any
+    const auto& donor = surfaces[prng.below(surfaces.size())].valid;
+    const auto cut = static_cast<std::ptrdiff_t>(prng.below(valid.size() + 1));
+    const auto from = static_cast<std::ptrdiff_t>(prng.below(donor.size() + 1));
+    std::vector<std::uint8_t> mutant(valid.begin(), valid.begin() + cut);
+    mutant.insert(mutant.end(), donor.begin() + from, donor.end());
+    out.push_back(std::move(mutant));
+  }
+  return out;
+}
+
+/// FNV-1a over everything the decoder revealed about each mutant.
+class Digest {
+ public:
+  void add(std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(value >> (8 * i)));
+  }
+  void add(std::span<const std::uint8_t> bytes) {
+    add(bytes.size());
+    for (const auto b : bytes) byte(b);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  void byte(std::uint8_t b) { hash_ = (hash_ ^ b) * 0x100000001b3ull; }
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t surface_digest(const std::vector<Surface>& surfaces, std::size_t index,
+                             std::size_t* mutant_count) {
+  Digest digest;
+  const auto mutants = mutants_of(surfaces, index);
+  *mutant_count = mutants.size();
+  for (const auto& mutant : mutants) {
+    const auto before = decode_anomalies().bsr_overflow.load();
+    const auto reencoded = surfaces[index].reencode(mutant);
+    digest.add(reencoded.has_value() ? 1 : 0);
+    if (reencoded.has_value()) digest.add(*reencoded);
+    digest.add(decode_anomalies().bsr_overflow.load() - before);
+  }
+  return digest.value();
+}
+
+TEST(ProtoRobustness, MutantDecodeDigestsArePinned) {
+  // Recorded from the decoders as of the field-number range fix. A change
+  // here means some mutant now decodes differently: a behavior change, not
+  // a refactor.
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"Envelope", 0x9b1e4abb0b6f5f09ull},  // 540 mutants
+      {"Hello", 0x53069277f66cfa56ull},  // 544 mutants
+      {"EchoRequest", 0x39d95e85f09e03fbull},  // 519 mutants
+      {"EchoReply", 0x751de732733237e0ull},  // 519 mutants
+      {"EnbConfigReply", 0x30f373ff31ca16e4ull},  // 560 mutants
+      {"UeConfigReply", 0xfce7da6a7722bc4bull},  // 524 mutants
+      {"LcConfigReply", 0x10730f88a7760a57ull},  // 520 mutants
+      {"StatsRequest", 0x986134efecfc70d5ull},  // 525 mutants
+      {"StatsReply", 0x00109a0998767d2aull},  // 572 mutants
+      {"DlMacConfig", 0x1384d58a79d45ba5ull},  // 532 mutants
+      {"UlMacConfig", 0x94fb03c4e36b3fc3ull},  // 527 mutants
+      {"HandoverCommand", 0x6530db4e68999bd3ull},  // 518 mutants
+      {"AbsConfig", 0x15367d3669540cf1ull},  // 522 mutants
+      {"CarrierRestriction", 0xb370469cb4692bd3ull},  // 516 mutants
+      {"DrxConfig", 0x6a770246edf05e10ull},  // 518 mutants
+      {"ScellCommand", 0x60cd9f03a2c4553eull},  // 516 mutants
+      {"EventNotification", 0xad95f73e252bbae1ull},  // 587 mutants
+      {"EventSubscription", 0xea78bdac2b3b87f1ull},  // 518 mutants
+      {"ControlDelegation", 0xcbc2a627f3f909a0ull},  // 552 mutants
+      {"PolicyReconfiguration", 0xdb4ce4d66454650aull},  // 561 mutants
+      {"MasterCheckpoint", 0xc852f65c9b3cf47dull},  // 666 mutants
+  };
+  const auto surfaces = all_surfaces();
+  for (std::size_t i = 0; i < surfaces.size(); ++i) {
+    std::size_t mutants = 0;
+    const std::uint64_t digest = surface_digest(surfaces, i, &mutants);
+    const auto it = pinned.find(surfaces[i].name);
+    EXPECT_EQ(digest, it == pinned.end() ? 0 : it->second)
+        << "{\"" << surfaces[i].name << "\", 0x" << std::hex << std::setw(16)
+        << std::setfill('0') << digest << "ull},  // "
+        << std::dec << mutants << " mutants";
+  }
+  EXPECT_EQ(pinned.size(), surfaces.size());
+}
+
+/// Fills every field of `out` with values no mutant decodes to, and more
+/// repeated entries than any mutant carries.
+void dirty(Envelope& out) {
+  out.version = 0xee;
+  out.type = MessageType::scell_command;
+  out.xid = 0xdead;
+  out.epoch = out.queue_status = 0x5a;
+  out.throttle_hint = out.master_epoch = out.retry_after_ms = 0xbeef;
+  out.ts_us = out.ts_echo_us = 0xfeedface;
+  out.body.assign(512, 0xab);
+}
+
+void dirty(StatsReply& out) {
+  out.request_id = 0xdead;
+  out.subframe = -77;
+  out.ue_reports.resize(8);
+  for (auto& report : out.ue_reports) {
+    report.rnti = 0xbeef;
+    report.bsr_bytes = {1, 2, 3, 4};
+    report.phr_db = -40;
+    report.wb_cqi = report.wb_cqi_protected = 15;
+    report.rlc_queue_bytes = report.pending_harq = report.ul_buffer_bytes = 99;
+    report.dl_bytes_delivered = report.ul_bytes_received = 12345;
+    report.rsrp.assign(5, RsrpMeasurement{9, -44.0});
+  }
+  out.cell_reports.assign(6, CellStatsReport{9, -90.0, 11, 12, 13});
+}
+
+std::vector<std::uint8_t> encoded(const Envelope& envelope) { return envelope.encode(); }
+std::vector<std::uint8_t> encoded(const StatsReply& reply) {
+  WireEncoder enc;
+  reply.encode_body(enc);
+  return enc.take();
+}
+
+// The warm-struct receive paths must be indistinguishable from a fresh
+// decode on every mutant: same verdict and, when accepted, the same value,
+// whether the struct was just dirtied or carries whatever the previous
+// (possibly failed) decode left in it.
+template <typename M, typename Fresh, typename Into>
+void expect_decode_into_matches_decode(const std::string& name, Fresh fresh, Into into) {
+  const auto surfaces = all_surfaces();
+  std::size_t index = 0;
+  while (surfaces[index].name != name) ++index;
+  M warm;
+  for (const auto& mutant : mutants_of(surfaces, index)) {
+    const auto reference = fresh(mutant);
+    M dirtied;
+    dirty(dirtied);
+    for (M* target : {&dirtied, &warm}) {
+      const auto status = into(mutant, *target);
+      ASSERT_EQ(status.ok(), reference.ok()) << name << " mutant of " << mutant.size() << " B";
+      if (status.ok()) {
+        EXPECT_EQ(encoded(*target), encoded(*reference)) << name;
+      }
+    }
+  }
+}
+
+TEST(ProtoRobustness, DecodeIntoMatchesDecodeOnMutants) {
+  expect_decode_into_matches_decode<Envelope>(
+      "Envelope", [](std::span<const std::uint8_t> data) { return Envelope::decode(data); },
+      [](std::span<const std::uint8_t> data, Envelope& out) {
+        return Envelope::decode_into(data, out);
+      });
+  expect_decode_into_matches_decode<StatsReply>(
+      "StatsReply",
+      [](std::span<const std::uint8_t> data) { return StatsReply::decode_body(data); },
+      [](std::span<const std::uint8_t> data, StatsReply& out) {
+        return StatsReply::decode_body_into(data, out);
+      });
 }
 
 }  // namespace
