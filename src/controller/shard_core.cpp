@@ -17,14 +17,13 @@ namespace {
 /// the coalesce key -- without materializing the full reply.
 std::uint32_t peek_stats_request_id(const std::vector<std::uint8_t>& body) {
   proto::WireDecoder dec(body);
-  while (!dec.done()) {
-    auto header = dec.next_field();
-    if (!header.ok()) return 0;
-    if (header->field == 1 && header->type == proto::WireType::varint) {
-      auto value = dec.read_varint();
-      return value.ok() ? static_cast<std::uint32_t>(*value) : 0;
+  proto::WireDecoder::FieldHeader header;
+  while (!dec.done() && dec.try_field(header)) {
+    if (header.field == 1 && header.type == proto::WireType::varint) {
+      std::uint64_t value = 0;
+      return dec.try_varint(value) ? static_cast<std::uint32_t>(value) : 0;
     }
-    if (!dec.skip(header->type).ok()) return 0;
+    if (!dec.try_skip(header.type)) return 0;
   }
   return 0;
 }
@@ -413,13 +412,13 @@ void ShardCore::apply_update(const PendingUpdate& update) {
     case MessageType::lc_config_reply:
       break;  // logical channel maps are not tracked beyond UE existence
     case MessageType::stats_reply: {
-      auto reply = proto::unpack<proto::StatsReply>(envelope);
-      if (!reply.ok()) break;
+      if (!proto::StatsReply::decode_body_into(envelope.body, rx_stats_).ok()) break;
+      const proto::StatsReply& reply = rx_stats_;
       // Stats replies do not echo the request xid; the first report
       // completes the tracked request via its request_id.
-      complete_stats_request(update.agent, reply->request_id);
-      agent.last_subframe = std::max(agent.last_subframe, reply->subframe);
-      for (const auto& report : reply->ue_reports) {
+      complete_stats_request(update.agent, reply.request_id);
+      agent.last_subframe = std::max(agent.last_subframe, reply.subframe);
+      for (const auto& report : reply.ue_reports) {
         UeNode* ue = agent.find_ue(report.rnti);
         if (ue == nullptr) {
           // First sighting: file under the agent's first cell (cell 0 while
@@ -431,7 +430,7 @@ void ShardCore::apply_update(const PendingUpdate& update) {
         ue->last_update = sim_.now();
         if (report.wb_cqi > 0) ue->cqi_avg.add(report.wb_cqi);
       }
-      for (const auto& cell_report : reply->cell_reports) {
+      for (const auto& cell_report : reply.cell_reports) {
         auto& cell = agent.cells[cell_report.cell_id];
         cell.stats = cell_report;
         cell.last_update = sim_.now();

@@ -551,6 +551,10 @@ class ShardCore final : public NorthboundApi {
   /// sheds lowest-class-first and coalesces superseded periodic replies;
   /// without one it is a plain FIFO (seed behavior).
   net::ClassedQueue<PendingUpdate> pending_;
+  /// Updater-side scratch for stats replies (docs/wire_fastpath.md): each
+  /// reply decodes over the previous one's report slots, so a steady fleet
+  /// applies its reports without touching the allocator.
+  proto::StatsReply rx_stats_;
   std::deque<Event> event_queue_;
   /// Coordinator's event mirror (set_event_tap); invoked on the
   /// coordinator thread after local dispatch of each event.

@@ -30,52 +30,19 @@ void encode_agent(WireEncoder& enc, const CheckpointAgent& agent) {
   for (const auto& policy : agent.policy_history) enc.field_string(7, policy);
 }
 
-Result<CheckpointAgent> decode_agent(std::span<const std::uint8_t> data) {
-  CheckpointAgent out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.id, std::uint32_t); return true;
-      case 2: {
-        auto s = expect_string(dec, header);
-        if (!s.ok()) return Result<bool>(s.error());
-        out.name = std::move(*s);
-        return true;
-      }
-      case 3: {
-        auto s = expect_string(dec, header);
-        if (!s.ok()) return Result<bool>(s.error());
-        out.capabilities.push_back(std::move(*s));
-        return true;
-      }
-      case 4: ASSIGN_VARINT(out.epoch, std::uint32_t); return true;
-      case 5: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        auto config = EnbConfigReply::decode_body(*bytes);
-        if (!config.ok()) return Result<bool>(config.error());
-        out.config = std::move(*config);
-        return true;
-      }
-      case 6: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        auto report = StatsRequest::decode_body(*bytes);
-        if (!report.ok()) return Result<bool>(report.error());
-        out.reports.push_back(std::move(*report));
-        return true;
-      }
-      case 7: {
-        auto s = expect_string(dec, header);
-        if (!s.ok()) return Result<bool>(s.error());
-        out.policy_history.push_back(std::move(*s));
-        return true;
-      }
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+bool agent_field(WireDecoder& dec, const FieldHeader& header, CheckpointAgent& out) {
+  switch (header.field) {
+    case 1: return assign_varint(dec, header, out.id);
+    case 2: return expect_string(dec, header, out.name);
+    case 3: return expect_string(dec, header, out.capabilities.emplace_back());
+    case 4: return assign_varint(dec, header, out.epoch);
+    case 5:
+      out.config = EnbConfigReply{};
+      return decode_nested(dec, header, out.config, enb_config_reply_field);
+    case 6: return decode_nested(dec, header, out.reports.emplace_back(), stats_request_field);
+    case 7: return expect_string(dec, header, out.policy_history.emplace_back());
+    default: return dec.try_skip(header.type);
+  }
 }
 
 }  // namespace
@@ -100,45 +67,33 @@ std::vector<std::uint8_t> MasterCheckpoint::encode() const {
 Result<MasterCheckpoint> MasterCheckpoint::decode(std::span<const std::uint8_t> data) {
   MasterCheckpoint out;
   bool saw_version = false;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: {
-        ASSIGN_VARINT(out.version, std::uint32_t);
-        saw_version = true;
-        return true;
-      }
-      case 2: ASSIGN_VARINT(out.incarnation, std::uint32_t); return true;
-      case 3: ASSIGN_VARINT(out.saved_at_us, std::uint64_t); return true;
-      case 4: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        auto agent = decode_agent(*bytes);
-        if (!agent.ok()) return Result<bool>(agent.error());
-        out.agents.push_back(std::move(*agent));
-        return true;
-      }
-      case 5: {
-        std::uint64_t stamped = 0;
-        ASSIGN_VARINT(stamped, std::uint64_t);
-        if (stamped == 0) return true;
-        // A stamp with no int shard index behind it is corrupt or foreign;
-        // truncating it could alias a real shard and pass its gate.
-        if (stamped - 1 > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-          return Result<bool>(Error::decode_failure("checkpoint shard stamp out of range"));
+  auto status = decode_message(
+      data, out, [&saw_version](WireDecoder& dec, const FieldHeader& header,
+                                MasterCheckpoint& checkpoint) {
+        switch (header.field) {
+          case 1:
+            saw_version = true;
+            return assign_varint(dec, header, checkpoint.version);
+          case 2: return assign_varint(dec, header, checkpoint.incarnation);
+          case 3: return assign_varint(dec, header, checkpoint.saved_at_us);
+          case 4: return decode_nested(dec, header, checkpoint.agents.emplace_back(), agent_field);
+          case 5: {
+            std::uint64_t stamped = 0;
+            if (!assign_varint(dec, header, stamped)) return false;
+            if (stamped == 0) return true;
+            // A stamp with no int shard index behind it is corrupt or
+            // foreign; truncating it could alias a real shard and pass its
+            // gate.
+            if (stamped - 1 > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+              return dec.fail("checkpoint shard stamp out of range");
+            }
+            checkpoint.shard = static_cast<int>(stamped - 1);
+            return true;
+          }
+          case 6: return assign_varint(dec, header, checkpoint.agent_ids.emplace_back());
+          default: return dec.try_skip(header.type);
         }
-        out.shard = static_cast<int>(stamped - 1);
-        return true;
-      }
-      case 6: {
-        std::uint32_t id = 0;
-        ASSIGN_VARINT(id, std::uint32_t);
-        out.agent_ids.push_back(id);
-        return true;
-      }
-      default: return false;
-    }
-  });
+      });
   if (!status.ok()) return status.error();
   if (!saw_version) return Error::decode_failure("checkpoint missing version");
   if (out.version != kVersion) {

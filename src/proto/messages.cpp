@@ -128,32 +128,30 @@ Status Envelope::decode_into(std::span<const std::uint8_t> data, Envelope& out) 
   out.retry_after_ms = 0;
   out.body.clear();
   bool saw_type = false;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.version, std::uint8_t); return true;
-      case 2: {
-        ASSIGN_VARINT(out.type, MessageType);
-        saw_type = true;
-        return true;
-      }
-      case 3: ASSIGN_VARINT(out.xid, std::uint32_t); return true;
-      case 4: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        out.body.assign(bytes->begin(), bytes->end());
-        return true;
-      }
-      case 5: ASSIGN_VARINT(out.epoch, std::uint32_t); return true;
-      case 6: ASSIGN_VARINT(out.queue_status, std::uint8_t); return true;
-      case 7: ASSIGN_VARINT(out.throttle_hint, std::uint32_t); return true;
-      case 8: ASSIGN_VARINT(out.ts_us, std::uint64_t); return true;
-      case 9: ASSIGN_VARINT(out.ts_echo_us, std::uint64_t); return true;
-      case 10: ASSIGN_VARINT(out.master_epoch, std::uint32_t); return true;
-      case 11: ASSIGN_VARINT(out.retry_after_ms, std::uint32_t); return true;
-      default: return false;
-    }
-  });
+  auto status = decode_message(
+      data, out, [&saw_type](WireDecoder& dec, const FieldHeader& header, Envelope& envelope) {
+        switch (header.field) {
+          case 1: return assign_varint(dec, header, envelope.version);
+          case 2:
+            saw_type = true;
+            return assign_varint(dec, header, envelope.type);
+          case 3: return assign_varint(dec, header, envelope.xid);
+          case 4: {
+            std::span<const std::uint8_t> bytes;
+            if (!expect_bytes(dec, header, bytes)) return false;
+            envelope.body.assign(bytes.begin(), bytes.end());
+            return true;
+          }
+          case 5: return assign_varint(dec, header, envelope.epoch);
+          case 6: return assign_varint(dec, header, envelope.queue_status);
+          case 7: return assign_varint(dec, header, envelope.throttle_hint);
+          case 8: return assign_varint(dec, header, envelope.ts_us);
+          case 9: return assign_varint(dec, header, envelope.ts_echo_us);
+          case 10: return assign_varint(dec, header, envelope.master_epoch);
+          case 11: return assign_varint(dec, header, envelope.retry_after_ms);
+          default: return dec.try_skip(header.type);
+        }
+      });
   if (!status.ok()) return status;
   if (!saw_type) return Error::decode_failure("envelope missing type");
   return {};
@@ -170,30 +168,16 @@ void Hello::encode_body(WireEncoder& enc) const {
 }
 
 Result<Hello> Hello::decode_body(std::span<const std::uint8_t> data) {
-  Hello out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
+  return decode_message<Hello>(data, [](WireDecoder& dec, const FieldHeader& header, Hello& out) {
     switch (header.field) {
-      case 1: ASSIGN_VARINT(out.enb_id, lte::EnbId); return true;
-      case 2: {
-        auto s = expect_string(dec, header);
-        if (!s.ok()) return Result<bool>(s.error());
-        out.name = std::move(*s);
-        return true;
-      }
-      case 3: ASSIGN_VARINT(out.n_cells, std::uint32_t); return true;
-      case 4: {
-        auto s = expect_string(dec, header);
-        if (!s.ok()) return Result<bool>(s.error());
-        out.capabilities.push_back(std::move(*s));
-        return true;
-      }
-      case 5: ASSIGN_VARINT(out.epoch, std::uint32_t); return true;
-      default: return false;
+      case 1: return assign_varint(dec, header, out.enb_id);
+      case 2: return expect_string(dec, header, out.name);
+      case 3: return assign_varint(dec, header, out.n_cells);
+      case 4: return expect_string(dec, header, out.capabilities.emplace_back());
+      case 5: return assign_varint(dec, header, out.epoch);
+      default: return dec.try_skip(header.type);
     }
   });
-  if (!status.ok()) return status.error();
-  return out;
 }
 
 // --------------------------------------------------------------------- Echo
@@ -204,17 +188,14 @@ void EchoRequest::encode_body(WireEncoder& enc) const {
 }
 
 Result<EchoRequest> EchoRequest::decode_body(std::span<const std::uint8_t> data) {
-  EchoRequest out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_SVARINT(out.subframe); return true;
-      case 2: ASSIGN_SVARINT(out.timestamp_us); return true;
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  return decode_message<EchoRequest>(
+      data, [](WireDecoder& dec, const FieldHeader& header, EchoRequest& out) {
+        switch (header.field) {
+          case 1: return assign_svarint(dec, header, out.subframe);
+          case 2: return assign_svarint(dec, header, out.timestamp_us);
+          default: return dec.try_skip(header.type);
+        }
+      });
 }
 
 void EchoReply::encode_body(WireEncoder& enc) const {
@@ -223,17 +204,14 @@ void EchoReply::encode_body(WireEncoder& enc) const {
 }
 
 Result<EchoReply> EchoReply::decode_body(std::span<const std::uint8_t> data) {
-  EchoReply out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_SVARINT(out.subframe); return true;
-      case 2: ASSIGN_SVARINT(out.echoed_timestamp_us); return true;
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  return decode_message<EchoReply>(
+      data, [](WireDecoder& dec, const FieldHeader& header, EchoReply& out) {
+        switch (header.field) {
+          case 1: return assign_svarint(dec, header, out.subframe);
+          case 2: return assign_svarint(dec, header, out.echoed_timestamp_us);
+          default: return dec.try_skip(header.type);
+        }
+      });
 }
 
 // ------------------------------------------------------------- cell configs
@@ -278,28 +256,17 @@ void encode_cell_config(WireEncoder& enc, int field, const CellConfigMsg& cell) 
   enc.end_message(mark);
 }
 
-Result<CellConfigMsg> decode_cell_config(std::span<const std::uint8_t> data) {
-  CellConfigMsg out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.cell_id, lte::CellId); return true;
-      case 2: {
-        auto v = expect_double(dec, header);
-        if (!v.ok()) return Result<bool>(v.error());
-        out.bandwidth_mhz = *v;
-        return true;
-      }
-      case 3: ASSIGN_VARINT(out.duplex, std::uint8_t); return true;
-      case 4: ASSIGN_VARINT(out.tx_mode, std::uint8_t); return true;
-      case 5: ASSIGN_VARINT(out.antenna_ports, std::uint8_t); return true;
-      case 6: ASSIGN_VARINT(out.band, std::uint16_t); return true;
-      case 7: ASSIGN_VARINT(out.pci, std::uint16_t); return true;
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+bool cell_config_field(WireDecoder& dec, const FieldHeader& header, CellConfigMsg& out) {
+  switch (header.field) {
+    case 1: return assign_varint(dec, header, out.cell_id);
+    case 2: return expect_double(dec, header, out.bandwidth_mhz);
+    case 3: return assign_varint(dec, header, out.duplex);
+    case 4: return assign_varint(dec, header, out.tx_mode);
+    case 5: return assign_varint(dec, header, out.antenna_ports);
+    case 6: return assign_varint(dec, header, out.band);
+    case 7: return assign_varint(dec, header, out.pci);
+    default: return dec.try_skip(header.type);
+  }
 }
 
 }  // namespace
@@ -309,25 +276,17 @@ void EnbConfigReply::encode_body(WireEncoder& enc) const {
   for (const auto& cell : cells) encode_cell_config(enc, 2, cell);
 }
 
+bool detail::enb_config_reply_field(WireDecoder& dec, const FieldHeader& header,
+                                    EnbConfigReply& out) {
+  switch (header.field) {
+    case 1: return assign_varint(dec, header, out.enb_id);
+    case 2: return decode_nested(dec, header, out.cells.emplace_back(), cell_config_field);
+    default: return dec.try_skip(header.type);
+  }
+}
+
 Result<EnbConfigReply> EnbConfigReply::decode_body(std::span<const std::uint8_t> data) {
-  EnbConfigReply out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.enb_id, lte::EnbId); return true;
-      case 2: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        auto cell = decode_cell_config(*bytes);
-        if (!cell.ok()) return Result<bool>(cell.error());
-        out.cells.push_back(std::move(*cell));
-        return true;
-      }
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  return decode_message<EnbConfigReply>(data, enb_config_reply_field);
 }
 
 // --------------------------------------------------------------- UE configs
@@ -364,21 +323,15 @@ void encode_ue_config(WireEncoder& enc, int field, const UeConfigMsg& ue) {
   enc.end_message(mark);
 }
 
-Result<UeConfigMsg> decode_ue_config(std::span<const std::uint8_t> data) {
-  UeConfigMsg out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.rnti, lte::Rnti); return true;
-      case 2: ASSIGN_VARINT(out.primary_cell, lte::CellId); return true;
-      case 3: ASSIGN_VARINT(out.tx_mode, std::uint8_t); return true;
-      case 4: ASSIGN_VARINT(out.ue_category, std::uint8_t); return true;
-      case 5: ASSIGN_VARINT(out.carrier_aggregation, bool); return true;
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+bool ue_config_field(WireDecoder& dec, const FieldHeader& header, UeConfigMsg& out) {
+  switch (header.field) {
+    case 1: return assign_varint(dec, header, out.rnti);
+    case 2: return assign_varint(dec, header, out.primary_cell);
+    case 3: return assign_varint(dec, header, out.tx_mode);
+    case 4: return assign_varint(dec, header, out.ue_category);
+    case 5: return assign_varint(dec, header, out.carrier_aggregation);
+    default: return dec.try_skip(header.type);
+  }
 }
 
 }  // namespace
@@ -388,19 +341,11 @@ void UeConfigReply::encode_body(WireEncoder& enc) const {
 }
 
 Result<UeConfigReply> UeConfigReply::decode_body(std::span<const std::uint8_t> data) {
-  UeConfigReply out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    if (header.field != 1) return false;
-    auto bytes = expect_bytes(dec, header);
-    if (!bytes.ok()) return Result<bool>(bytes.error());
-    auto ue = decode_ue_config(*bytes);
-    if (!ue.ok()) return Result<bool>(ue.error());
-    out.ues.push_back(std::move(*ue));
-    return true;
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  return decode_message<UeConfigReply>(
+      data, [](WireDecoder& dec, const FieldHeader& header, UeConfigReply& out) {
+        if (header.field != 1) return dec.try_skip(header.type);
+        return decode_nested(dec, header, out.ues.emplace_back(), ue_config_field);
+      });
 }
 
 // --------------------------------------------------------------- LC configs
@@ -416,31 +361,20 @@ void LcConfigReply::encode_body(WireEncoder& enc) const {
 }
 
 Result<LcConfigReply> LcConfigReply::decode_body(std::span<const std::uint8_t> data) {
-  LcConfigReply out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    if (header.field != 1) return false;
-    auto bytes = expect_bytes(dec, header);
-    if (!bytes.ok()) return Result<bool>(bytes.error());
-    LcConfigMsg lc;
-    auto sub_status =
-        decode_fields(*bytes, [&](WireDecoder& sub_dec,
-                                  const WireDecoder::FieldHeader& sub_header) -> Result<bool> {
-          auto& dec = sub_dec;
-          const auto& header = sub_header;
-          switch (header.field) {
-            case 1: ASSIGN_VARINT(lc.rnti, lte::Rnti); return true;
-            case 2: ASSIGN_VARINT(lc.lcid, lte::Lcid); return true;
-            case 3: ASSIGN_VARINT(lc.lc_group, std::uint8_t); return true;
-            default: return false;
-          }
-        });
-    if (!sub_status.ok()) return Result<bool>(sub_status.error());
-    out.channels.push_back(lc);
-    return true;
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  return decode_message<LcConfigReply>(
+      data, [](WireDecoder& dec, const FieldHeader& header, LcConfigReply& out) {
+        if (header.field != 1) return dec.try_skip(header.type);
+        return decode_nested(
+            dec, header, out.channels.emplace_back(),
+            [](WireDecoder& sub, const FieldHeader& sub_header, LcConfigMsg& lc) {
+              switch (sub_header.field) {
+                case 1: return assign_varint(sub, sub_header, lc.rnti);
+                case 2: return assign_varint(sub, sub_header, lc.lcid);
+                case 3: return assign_varint(sub, sub_header, lc.lc_group);
+                default: return sub.try_skip(sub_header.type);
+              }
+            });
+      });
 }
 
 // -------------------------------------------------------------------- stats
@@ -453,26 +387,20 @@ void StatsRequest::encode_body(WireEncoder& enc) const {
   for (auto rnti : ues) enc.field_varint(5, rnti);
 }
 
+bool detail::stats_request_field(WireDecoder& dec, const FieldHeader& header,
+                                 StatsRequest& out) {
+  switch (header.field) {
+    case 1: return assign_varint(dec, header, out.request_id);
+    case 2: return assign_varint(dec, header, out.mode);
+    case 3: return assign_varint(dec, header, out.periodicity_ttis);
+    case 4: return assign_varint(dec, header, out.flags);
+    case 5: return assign_varint(dec, header, out.ues.emplace_back());
+    default: return dec.try_skip(header.type);
+  }
+}
+
 Result<StatsRequest> StatsRequest::decode_body(std::span<const std::uint8_t> data) {
-  StatsRequest out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.request_id, std::uint32_t); return true;
-      case 2: ASSIGN_VARINT(out.mode, ReportMode); return true;
-      case 3: ASSIGN_VARINT(out.periodicity_ttis, std::uint32_t); return true;
-      case 4: ASSIGN_VARINT(out.flags, std::uint32_t); return true;
-      case 5: {
-        auto v = expect_varint(dec, header);
-        if (!v.ok()) return Result<bool>(v.error());
-        out.ues.push_back(static_cast<lte::Rnti>(*v));
-        return true;
-      }
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  return decode_message<StatsRequest>(data, stats_request_field);
 }
 
 namespace {
@@ -514,67 +442,54 @@ void reset_ue_report(UeStatsReport& out) {
   out.rsrp.clear();
 }
 
-Status decode_ue_report_into(std::span<const std::uint8_t> data, UeStatsReport& out) {
+bool rsrp_field(WireDecoder& dec, const FieldHeader& header, RsrpMeasurement& out) {
+  switch (header.field) {
+    case 1: return assign_varint(dec, header, out.cell_id);
+    case 2: {
+      std::uint64_t value = 0;
+      if (!expect_varint(dec, header, value)) return false;
+      out.rsrp_dbm = static_cast<double>(zigzag_decode(value)) / 100.0;
+      return true;
+    }
+    default: return dec.try_skip(header.type);
+  }
+}
+
+/// Decodes the current field's UE report over `out`, reusing its rsrp block.
+bool decode_ue_report(WireDecoder& dec, const FieldHeader& header, UeStatsReport& out) {
   reset_ue_report(out);
   std::size_t bsr_index = 0;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.rnti, lte::Rnti); return true;
-      case 2: {
-        auto v = expect_varint(dec, header);
-        if (!v.ok()) return Result<bool>(v.error());
-        if (bsr_index < out.bsr_bytes.size()) {
-          out.bsr_bytes[bsr_index++] = static_cast<std::uint32_t>(*v);
-        } else {
-          // Keep the message but make the information loss visible: a peer
-          // with more LC groups than we model is an anomaly worth counting,
-          // not a decode failure (forward compatibility keeps the session up).
-          decode_anomalies().bsr_overflow.fetch_add(1, std::memory_order_relaxed);
+  return decode_nested(
+      dec, header, out,
+      [&bsr_index](WireDecoder& sub, const FieldHeader& sub_header, UeStatsReport& report) {
+        switch (sub_header.field) {
+          case 1: return assign_varint(sub, sub_header, report.rnti);
+          case 2: {
+            std::uint64_t value = 0;
+            if (!expect_varint(sub, sub_header, value)) return false;
+            if (bsr_index < report.bsr_bytes.size()) {
+              report.bsr_bytes[bsr_index++] = static_cast<std::uint32_t>(value);
+            } else {
+              // Keep the message but make the information loss visible: a
+              // peer with more LC groups than we model is an anomaly worth
+              // counting, not a decode failure (forward compatibility keeps
+              // the session up).
+              decode_anomalies().bsr_overflow.fetch_add(1, std::memory_order_relaxed);
+            }
+            return true;
+          }
+          case 3: return assign_svarint(sub, sub_header, report.phr_db);
+          case 4: return assign_varint(sub, sub_header, report.wb_cqi);
+          case 5: return assign_varint(sub, sub_header, report.rlc_queue_bytes);
+          case 6: return assign_varint(sub, sub_header, report.pending_harq);
+          case 7: return assign_varint(sub, sub_header, report.dl_bytes_delivered);
+          case 8: return assign_varint(sub, sub_header, report.ul_bytes_received);
+          case 9: return assign_varint(sub, sub_header, report.wb_cqi_protected);
+          case 10: return decode_nested(sub, sub_header, report.rsrp.emplace_back(), rsrp_field);
+          case 11: return assign_varint(sub, sub_header, report.ul_buffer_bytes);
+          default: return sub.try_skip(sub_header.type);
         }
-        return true;
-      }
-      case 3: {
-        auto v = expect_varint(dec, header);
-        if (!v.ok()) return Result<bool>(v.error());
-        out.phr_db = static_cast<std::int32_t>(zigzag_decode(*v));
-        return true;
-      }
-      case 4: ASSIGN_VARINT(out.wb_cqi, std::uint8_t); return true;
-      case 5: ASSIGN_VARINT(out.rlc_queue_bytes, std::uint32_t); return true;
-      case 6: ASSIGN_VARINT(out.pending_harq, std::uint32_t); return true;
-      case 7: ASSIGN_VARINT(out.dl_bytes_delivered, std::uint64_t); return true;
-      case 8: ASSIGN_VARINT(out.ul_bytes_received, std::uint64_t); return true;
-      case 9: ASSIGN_VARINT(out.wb_cqi_protected, std::uint8_t); return true;
-      case 11: ASSIGN_VARINT(out.ul_buffer_bytes, std::uint32_t); return true;
-      case 10: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        RsrpMeasurement measurement;
-        auto sub_status = decode_fields(
-            *bytes, [&](WireDecoder& sub_dec,
-                        const WireDecoder::FieldHeader& sub_header) -> Result<bool> {
-              auto& dec = sub_dec;
-              const auto& header = sub_header;
-              switch (header.field) {
-                case 1: ASSIGN_VARINT(measurement.cell_id, lte::CellId); return true;
-                case 2: {
-                  auto v = expect_varint(dec, header);
-                  if (!v.ok()) return Result<bool>(v.error());
-                  measurement.rsrp_dbm = static_cast<double>(zigzag_decode(*v)) / 100.0;
-                  return true;
-                }
-                default: return false;
-              }
-            });
-        if (!sub_status.ok()) return Result<bool>(sub_status.error());
-        out.rsrp.push_back(measurement);
-        return true;
-      }
-      default: return false;
-    }
-  });
-  return status;
+      });
 }
 
 void encode_cell_report(WireEncoder& enc, int field, const CellStatsReport& report) {
@@ -587,26 +502,15 @@ void encode_cell_report(WireEncoder& enc, int field, const CellStatsReport& repo
   enc.end_message(mark);
 }
 
-Result<CellStatsReport> decode_cell_report(std::span<const std::uint8_t> data) {
-  CellStatsReport out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.cell_id, lte::CellId); return true;
-      case 2: {
-        auto v = expect_double(dec, header);
-        if (!v.ok()) return Result<bool>(v.error());
-        out.noise_interference_dbm = *v;
-        return true;
-      }
-      case 3: ASSIGN_VARINT(out.dl_prbs_in_use, std::uint32_t); return true;
-      case 4: ASSIGN_VARINT(out.ul_prbs_in_use, std::uint32_t); return true;
-      case 5: ASSIGN_VARINT(out.active_ues, std::uint32_t); return true;
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+bool cell_report_field(WireDecoder& dec, const FieldHeader& header, CellStatsReport& out) {
+  switch (header.field) {
+    case 1: return assign_varint(dec, header, out.cell_id);
+    case 2: return expect_double(dec, header, out.noise_interference_dbm);
+    case 3: return assign_varint(dec, header, out.dl_prbs_in_use);
+    case 4: return assign_varint(dec, header, out.ul_prbs_in_use);
+    case 5: return assign_varint(dec, header, out.active_ues);
+    default: return dec.try_skip(header.type);
+  }
 }
 
 }  // namespace
@@ -633,32 +537,21 @@ Status StatsReply::decode_body_into(std::span<const std::uint8_t> data, StatsRep
   // at the end. A same-shape reply touches no allocator at all.
   std::size_t n_ue = 0;
   std::size_t n_cell = 0;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.request_id, std::uint32_t); return true;
-      case 2: ASSIGN_SVARINT(out.subframe); return true;
-      case 3: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        if (n_ue == out.ue_reports.size()) out.ue_reports.emplace_back();
-        auto report = decode_ue_report_into(*bytes, out.ue_reports[n_ue]);
-        if (!report.ok()) return Result<bool>(report.error());
-        ++n_ue;
-        return true;
-      }
-      case 4: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        auto report = decode_cell_report(*bytes);
-        if (!report.ok()) return Result<bool>(report.error());
-        if (n_cell == out.cell_reports.size()) out.cell_reports.emplace_back();
-        out.cell_reports[n_cell++] = *report;
-        return true;
-      }
-      default: return false;
-    }
-  });
+  auto status = decode_message(
+      data, out, [&](WireDecoder& dec, const FieldHeader& header, StatsReply& reply) {
+        switch (header.field) {
+          case 1: return assign_varint(dec, header, reply.request_id);
+          case 2: return assign_svarint(dec, header, reply.subframe);
+          case 3:
+            if (n_ue == reply.ue_reports.size()) reply.ue_reports.emplace_back();
+            return decode_ue_report(dec, header, reply.ue_reports[n_ue++]);
+          case 4:
+            if (n_cell == reply.cell_reports.size()) reply.cell_reports.emplace_back();
+            reply.cell_reports[n_cell] = CellStatsReport{};
+            return decode_nested(dec, header, reply.cell_reports[n_cell++], cell_report_field);
+          default: return dec.try_skip(header.type);
+        }
+      });
   if (!status.ok()) return status;
   out.ue_reports.resize(n_ue);
   out.cell_reports.resize(n_cell);
@@ -681,26 +574,25 @@ void encode_dl_dci(WireEncoder& enc, int field, const lte::DlDci& dci) {
   enc.end_message(mark);
 }
 
-Result<lte::DlDci> decode_dl_dci(std::span<const std::uint8_t> data) {
-  lte::DlDci out;
+/// Decodes the current field's DCI; the RB bitmap travels as two words.
+bool decode_dl_dci(WireDecoder& dec, const FieldHeader& header, lte::DlDci& out) {
   std::uint64_t w0 = 0;
   std::uint64_t w1 = 0;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.rnti, lte::Rnti); return true;
-      case 2: ASSIGN_VARINT(w0, std::uint64_t); return true;
-      case 3: ASSIGN_VARINT(w1, std::uint64_t); return true;
-      case 4: ASSIGN_VARINT(out.mcs, int); return true;
-      case 5: ASSIGN_VARINT(out.harq_pid, std::uint8_t); return true;
-      case 6: ASSIGN_VARINT(out.new_data, bool); return true;
-      case 7: ASSIGN_VARINT(out.carrier, std::uint8_t); return true;
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
+  const bool ok = decode_nested(
+      dec, header, out, [&](WireDecoder& sub, const FieldHeader& sub_header, lte::DlDci& dci) {
+        switch (sub_header.field) {
+          case 1: return assign_varint(sub, sub_header, dci.rnti);
+          case 2: return assign_varint(sub, sub_header, w0);
+          case 3: return assign_varint(sub, sub_header, w1);
+          case 4: return assign_varint(sub, sub_header, dci.mcs);
+          case 5: return assign_varint(sub, sub_header, dci.harq_pid);
+          case 6: return assign_varint(sub, sub_header, dci.new_data);
+          case 7: return assign_varint(sub, sub_header, dci.carrier);
+          default: return sub.try_skip(sub_header.type);
+        }
+      });
   out.rbs = lte::RbAllocation::from_words(w0, w1);
-  return out;
+  return ok;
 }
 
 void encode_ul_dci(WireEncoder& enc, int field, const lte::UlDci& dci) {
@@ -712,23 +604,21 @@ void encode_ul_dci(WireEncoder& enc, int field, const lte::UlDci& dci) {
   enc.end_message(mark);
 }
 
-Result<lte::UlDci> decode_ul_dci(std::span<const std::uint8_t> data) {
-  lte::UlDci out;
+bool decode_ul_dci(WireDecoder& dec, const FieldHeader& header, lte::UlDci& out) {
   std::uint64_t w0 = 0;
   std::uint64_t w1 = 0;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.rnti, lte::Rnti); return true;
-      case 2: ASSIGN_VARINT(w0, std::uint64_t); return true;
-      case 3: ASSIGN_VARINT(w1, std::uint64_t); return true;
-      case 4: ASSIGN_VARINT(out.mcs, int); return true;
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
+  const bool ok = decode_nested(
+      dec, header, out, [&](WireDecoder& sub, const FieldHeader& sub_header, lte::UlDci& dci) {
+        switch (sub_header.field) {
+          case 1: return assign_varint(sub, sub_header, dci.rnti);
+          case 2: return assign_varint(sub, sub_header, w0);
+          case 3: return assign_varint(sub, sub_header, w1);
+          case 4: return assign_varint(sub, sub_header, dci.mcs);
+          default: return sub.try_skip(sub_header.type);
+        }
+      });
   out.rbs = lte::RbAllocation::from_words(w0, w1);
-  return out;
+  return ok;
 }
 
 }  // namespace
@@ -740,25 +630,15 @@ void DlMacConfig::encode_body(WireEncoder& enc) const {
 }
 
 Result<DlMacConfig> DlMacConfig::decode_body(std::span<const std::uint8_t> data) {
-  DlMacConfig out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.cell_id, lte::CellId); return true;
-      case 2: ASSIGN_SVARINT(out.target_subframe); return true;
-      case 3: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        auto dci = decode_dl_dci(*bytes);
-        if (!dci.ok()) return Result<bool>(dci.error());
-        out.dcis.push_back(std::move(*dci));
-        return true;
-      }
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  return decode_message<DlMacConfig>(
+      data, [](WireDecoder& dec, const FieldHeader& header, DlMacConfig& out) {
+        switch (header.field) {
+          case 1: return assign_varint(dec, header, out.cell_id);
+          case 2: return assign_svarint(dec, header, out.target_subframe);
+          case 3: return decode_dl_dci(dec, header, out.dcis.emplace_back());
+          default: return dec.try_skip(header.type);
+        }
+      });
 }
 
 void UlMacConfig::encode_body(WireEncoder& enc) const {
@@ -768,25 +648,15 @@ void UlMacConfig::encode_body(WireEncoder& enc) const {
 }
 
 Result<UlMacConfig> UlMacConfig::decode_body(std::span<const std::uint8_t> data) {
-  UlMacConfig out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.cell_id, lte::CellId); return true;
-      case 2: ASSIGN_SVARINT(out.target_subframe); return true;
-      case 3: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        auto dci = decode_ul_dci(*bytes);
-        if (!dci.ok()) return Result<bool>(dci.error());
-        out.dcis.push_back(std::move(*dci));
-        return true;
-      }
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  return decode_message<UlMacConfig>(
+      data, [](WireDecoder& dec, const FieldHeader& header, UlMacConfig& out) {
+        switch (header.field) {
+          case 1: return assign_varint(dec, header, out.cell_id);
+          case 2: return assign_svarint(dec, header, out.target_subframe);
+          case 3: return decode_ul_dci(dec, header, out.dcis.emplace_back());
+          default: return dec.try_skip(header.type);
+        }
+      });
 }
 
 void HandoverCommand::encode_body(WireEncoder& enc) const {
@@ -796,18 +666,15 @@ void HandoverCommand::encode_body(WireEncoder& enc) const {
 }
 
 Result<HandoverCommand> HandoverCommand::decode_body(std::span<const std::uint8_t> data) {
-  HandoverCommand out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.rnti, lte::Rnti); return true;
-      case 2: ASSIGN_VARINT(out.source_cell, lte::CellId); return true;
-      case 3: ASSIGN_VARINT(out.target_cell, lte::CellId); return true;
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  return decode_message<HandoverCommand>(
+      data, [](WireDecoder& dec, const FieldHeader& header, HandoverCommand& out) {
+        switch (header.field) {
+          case 1: return assign_varint(dec, header, out.rnti);
+          case 2: return assign_varint(dec, header, out.source_cell);
+          case 3: return assign_varint(dec, header, out.target_cell);
+          default: return dec.try_skip(header.type);
+        }
+      });
 }
 
 void AbsConfig::encode_body(WireEncoder& enc) const {
@@ -817,23 +684,20 @@ void AbsConfig::encode_body(WireEncoder& enc) const {
 }
 
 Result<AbsConfig> AbsConfig::decode_body(std::span<const std::uint8_t> data) {
-  AbsConfig out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.cell_id, lte::CellId); return true;
-      case 2: {
-        auto v = expect_varint(dec, header);
-        if (!v.ok()) return Result<bool>(v.error());
-        out.pattern = lte::AbsPattern::from_bits(*v);
-        return true;
-      }
-      case 3: ASSIGN_VARINT(out.mute_during_abs, bool); return true;
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  return decode_message<AbsConfig>(
+      data, [](WireDecoder& dec, const FieldHeader& header, AbsConfig& out) {
+        switch (header.field) {
+          case 1: return assign_varint(dec, header, out.cell_id);
+          case 2: {
+            std::uint64_t bits = 0;
+            if (!expect_varint(dec, header, bits)) return false;
+            out.pattern = lte::AbsPattern::from_bits(bits);
+            return true;
+          }
+          case 3: return assign_varint(dec, header, out.mute_during_abs);
+          default: return dec.try_skip(header.type);
+        }
+      });
 }
 
 void CarrierRestriction::encode_body(WireEncoder& enc) const {
@@ -842,17 +706,14 @@ void CarrierRestriction::encode_body(WireEncoder& enc) const {
 }
 
 Result<CarrierRestriction> CarrierRestriction::decode_body(std::span<const std::uint8_t> data) {
-  CarrierRestriction out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.cell_id, lte::CellId); return true;
-      case 2: ASSIGN_VARINT(out.max_dl_prbs, std::uint16_t); return true;
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  return decode_message<CarrierRestriction>(
+      data, [](WireDecoder& dec, const FieldHeader& header, CarrierRestriction& out) {
+        switch (header.field) {
+          case 1: return assign_varint(dec, header, out.cell_id);
+          case 2: return assign_varint(dec, header, out.max_dl_prbs);
+          default: return dec.try_skip(header.type);
+        }
+      });
 }
 
 void DrxConfig::encode_body(WireEncoder& enc) const {
@@ -862,18 +723,15 @@ void DrxConfig::encode_body(WireEncoder& enc) const {
 }
 
 Result<DrxConfig> DrxConfig::decode_body(std::span<const std::uint8_t> data) {
-  DrxConfig out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.rnti, lte::Rnti); return true;
-      case 2: ASSIGN_VARINT(out.cycle_ttis, std::uint16_t); return true;
-      case 3: ASSIGN_VARINT(out.on_duration_ttis, std::uint16_t); return true;
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  return decode_message<DrxConfig>(
+      data, [](WireDecoder& dec, const FieldHeader& header, DrxConfig& out) {
+        switch (header.field) {
+          case 1: return assign_varint(dec, header, out.rnti);
+          case 2: return assign_varint(dec, header, out.cycle_ttis);
+          case 3: return assign_varint(dec, header, out.on_duration_ttis);
+          default: return dec.try_skip(header.type);
+        }
+      });
 }
 
 void ScellCommand::encode_body(WireEncoder& enc) const {
@@ -882,17 +740,14 @@ void ScellCommand::encode_body(WireEncoder& enc) const {
 }
 
 Result<ScellCommand> ScellCommand::decode_body(std::span<const std::uint8_t> data) {
-  ScellCommand out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.rnti, lte::Rnti); return true;
-      case 2: ASSIGN_VARINT(out.activate, bool); return true;
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  return decode_message<ScellCommand>(
+      data, [](WireDecoder& dec, const FieldHeader& header, ScellCommand& out) {
+        switch (header.field) {
+          case 1: return assign_varint(dec, header, out.rnti);
+          case 2: return assign_varint(dec, header, out.activate);
+          default: return dec.try_skip(header.type);
+        }
+      });
 }
 
 // ------------------------------------------------------------------- events
@@ -915,35 +770,24 @@ void EventNotification::encode_body(WireEncoder& enc) const {
 }
 
 Result<EventNotification> EventNotification::decode_body(std::span<const std::uint8_t> data) {
-  EventNotification out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.event, EventType); return true;
-      case 2: ASSIGN_SVARINT(out.subframe); return true;
-      case 3: ASSIGN_VARINT(out.rnti, lte::Rnti); return true;
-      case 4: ASSIGN_VARINT(out.cell_id, lte::CellId); return true;
-      case 5: ASSIGN_VARINT(out.xid, std::uint32_t); return true;
-      case 6:
-      case 7:
-      case 8:
-      case 11: {
-        auto s = expect_string(dec, header);
-        if (!s.ok()) return Result<bool>(s.error());
-        (header.field == 6    ? out.module
-         : header.field == 7  ? out.vsf
-         : header.field == 8  ? out.implementation
-                              : out.detail) = std::move(*s);
-        return true;
-      }
-      case 9: ASSIGN_VARINT(out.failure_kind, VsfFailureKind); return true;
-      case 10: ASSIGN_VARINT(out.failure_count, std::uint32_t); return true;
-      case 12: ASSIGN_VARINT(out.overload_state, std::uint8_t); return true;
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  return decode_message<EventNotification>(
+      data, [](WireDecoder& dec, const FieldHeader& header, EventNotification& out) {
+        switch (header.field) {
+          case 1: return assign_varint(dec, header, out.event);
+          case 2: return assign_svarint(dec, header, out.subframe);
+          case 3: return assign_varint(dec, header, out.rnti);
+          case 4: return assign_varint(dec, header, out.cell_id);
+          case 5: return assign_varint(dec, header, out.xid);
+          case 6: return expect_string(dec, header, out.module);
+          case 7: return expect_string(dec, header, out.vsf);
+          case 8: return expect_string(dec, header, out.implementation);
+          case 9: return assign_varint(dec, header, out.failure_kind);
+          case 10: return assign_varint(dec, header, out.failure_count);
+          case 11: return expect_string(dec, header, out.detail);
+          case 12: return assign_varint(dec, header, out.overload_state);
+          default: return dec.try_skip(header.type);
+        }
+      });
 }
 
 void EventSubscription::encode_body(WireEncoder& enc) const {
@@ -952,22 +796,14 @@ void EventSubscription::encode_body(WireEncoder& enc) const {
 }
 
 Result<EventSubscription> EventSubscription::decode_body(std::span<const std::uint8_t> data) {
-  EventSubscription out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: {
-        auto v = expect_varint(dec, header);
-        if (!v.ok()) return Result<bool>(v.error());
-        out.events.push_back(static_cast<EventType>(*v));
-        return true;
-      }
-      case 2: ASSIGN_VARINT(out.enable, bool); return true;
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  return decode_message<EventSubscription>(
+      data, [](WireDecoder& dec, const FieldHeader& header, EventSubscription& out) {
+        switch (header.field) {
+          case 1: return assign_varint(dec, header, out.events.emplace_back());
+          case 2: return assign_varint(dec, header, out.enable);
+          default: return dec.try_skip(header.type);
+        }
+      });
 }
 
 // --------------------------------------------------------------- delegation
@@ -981,48 +817,33 @@ void ControlDelegation::encode_body(WireEncoder& enc) const {
 }
 
 Result<ControlDelegation> ControlDelegation::decode_body(std::span<const std::uint8_t> data) {
-  ControlDelegation out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1:
-      case 2:
-      case 3: {
-        auto s = expect_string(dec, header);
-        if (!s.ok()) return Result<bool>(s.error());
-        (header.field == 1 ? out.module : header.field == 2 ? out.vsf : out.implementation) =
-            std::move(*s);
-        return true;
-      }
-      case 4: ASSIGN_VARINT(out.version, std::uint32_t); return true;
-      case 5: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        out.blob.assign(bytes->begin(), bytes->end());
-        return true;
-      }
-      default: return false;
-    }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  return decode_message<ControlDelegation>(
+      data, [](WireDecoder& dec, const FieldHeader& header, ControlDelegation& out) {
+        switch (header.field) {
+          case 1: return expect_string(dec, header, out.module);
+          case 2: return expect_string(dec, header, out.vsf);
+          case 3: return expect_string(dec, header, out.implementation);
+          case 4: return assign_varint(dec, header, out.version);
+          case 5: {
+            std::span<const std::uint8_t> bytes;
+            if (!expect_bytes(dec, header, bytes)) return false;
+            out.blob.assign(bytes.begin(), bytes.end());
+            return true;
+          }
+          default: return dec.try_skip(header.type);
+        }
+      });
 }
 
 void PolicyReconfiguration::encode_body(WireEncoder& enc) const { enc.field_string(1, yaml); }
 
 Result<PolicyReconfiguration> PolicyReconfiguration::decode_body(
     std::span<const std::uint8_t> data) {
-  PolicyReconfiguration out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    if (header.field != 1) return false;
-    auto s = expect_string(dec, header);
-    if (!s.ok()) return Result<bool>(s.error());
-    out.yaml = std::move(*s);
-    return true;
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  return decode_message<PolicyReconfiguration>(
+      data, [](WireDecoder& dec, const FieldHeader& header, PolicyReconfiguration& out) {
+        if (header.field != 1) return dec.try_skip(header.type);
+        return expect_string(dec, header, out.yaml);
+      });
 }
 
 // ------------------------------------------------------------------ helpers

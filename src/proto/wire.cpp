@@ -4,14 +4,6 @@
 
 namespace flexran::proto {
 
-std::uint64_t zigzag_encode(std::int64_t value) {
-  return (static_cast<std::uint64_t>(value) << 1) ^ static_cast<std::uint64_t>(value >> 63);
-}
-
-std::int64_t zigzag_decode(std::uint64_t value) {
-  return static_cast<std::int64_t>(value >> 1) ^ -static_cast<std::int64_t>(value & 1);
-}
-
 void WireEncoder::varint(std::uint64_t value) {
   while (value >= 0x80) {
     buffer_.write_u8(static_cast<std::uint8_t>(value) | 0x80);
@@ -84,96 +76,6 @@ void WireEncoder::field_string(int field, std::string_view text) {
   tag(field, WireType::length_delimited);
   varint(text.size());
   buffer_.write_string(text);
-}
-
-util::Result<WireDecoder::FieldHeader> WireDecoder::next_field() {
-  auto raw = read_varint();
-  if (!raw.ok()) return raw.error();
-  const auto type_bits = static_cast<std::uint8_t>(*raw & 0x7);
-  if (type_bits != 0 && type_bits != 1 && type_bits != 2 && type_bits != 5) {
-    return util::Error::decode_failure("unsupported wire type");
-  }
-  // Range-check before narrowing: field 2^32 + 3 must not alias field 3.
-  const std::uint64_t field = *raw >> 3;
-  if (field == 0 || field > kMaxFieldNumber) {
-    return util::Error::decode_failure("invalid field number");
-  }
-  FieldHeader header;
-  header.field = static_cast<int>(field);
-  header.type = static_cast<WireType>(type_bits);
-  return header;
-}
-
-util::Result<std::uint64_t> WireDecoder::read_varint() {
-  std::uint64_t value = 0;
-  int shift = 0;
-  while (pos_ < data_.size()) {
-    const std::uint8_t byte = data_[pos_++];
-    if (shift >= 64) return util::Error::decode_failure("varint too long");
-    value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return value;
-    shift += 7;
-  }
-  return util::Error::decode_failure("varint past end");
-}
-
-util::Result<double> WireDecoder::read_double() {
-  if (data_.size() - pos_ < 8) return util::Error::decode_failure("fixed64 past end");
-  std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) bits |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += 8;
-  double value = 0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-util::Result<std::uint32_t> WireDecoder::read_fixed32() {
-  if (data_.size() - pos_ < 4) return util::Error::decode_failure("fixed32 past end");
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) value |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += 4;
-  return value;
-}
-
-util::Result<std::span<const std::uint8_t>> WireDecoder::read_bytes() {
-  auto length = read_varint();
-  if (!length.ok()) return length.error();
-  if (data_.size() - pos_ < *length) return util::Error::decode_failure("bytes past end");
-  auto out = data_.subspan(pos_, *length);
-  pos_ += *length;
-  return out;
-}
-
-util::Result<std::string> WireDecoder::read_string() {
-  auto bytes = read_bytes();
-  if (!bytes.ok()) return bytes.error();
-  return std::string(bytes->begin(), bytes->end());
-}
-
-util::Status WireDecoder::skip(WireType type) {
-  switch (type) {
-    case WireType::varint: {
-      auto v = read_varint();
-      if (!v.ok()) return v.error();
-      return {};
-    }
-    case WireType::fixed64: {
-      auto v = read_double();
-      if (!v.ok()) return v.error();
-      return {};
-    }
-    case WireType::fixed32: {
-      auto v = read_fixed32();
-      if (!v.ok()) return v.error();
-      return {};
-    }
-    case WireType::length_delimited: {
-      auto v = read_bytes();
-      if (!v.ok()) return v.error();
-      return {};
-    }
-  }
-  return util::Error::decode_failure("unknown wire type");
 }
 
 }  // namespace flexran::proto
