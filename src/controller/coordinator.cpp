@@ -336,10 +336,7 @@ util::Status Coordinator::drain_shard(std::size_t index) {
   for (const auto& [id, record] : assignment_) {
     if (record.shard == index) drain_queue_.push_back(id);
   }
-  if (drain_queue_.empty()) {
-    shard_states_[index].health = ShardHealth::drained;
-    draining_shard_ = kNoShard;
-  }
+  if (drain_queue_.empty()) finish_drain();
   return {};
 }
 
@@ -371,10 +368,16 @@ void Coordinator::step_drain() {
     ++agents_drained_;
     break;
   }
-  if (drain_queue_.empty()) {
-    shard_states_[draining_shard_].health = ShardHealth::drained;
-    draining_shard_ = kNoShard;
-  }
+  if (drain_queue_.empty()) finish_drain();
+}
+
+void Coordinator::finish_drain() {
+  shard_states_[draining_shard_].health = ShardHealth::drained;
+  // A drained shard is never cycled again: without the reset it would
+  // report the overload episode it was in when its last agent left
+  // forever. A failed shard, by contrast, keeps its post-mortem state.
+  shards_[draining_shard_]->reset_overload();
+  draining_shard_ = kNoShard;
 }
 
 void Coordinator::poll_failover() {

@@ -274,6 +274,8 @@ class Coordinator final : public NorthboundApi {
   /// One paced drain step: moves the next queued agent off the draining
   /// shard with a live durable export.
   void step_drain();
+  /// Marks the draining shard drained and resets its overload state.
+  void finish_drain();
   /// Tracks adopted agents until their re-sync completes (failover
   /// duration metric).
   void poll_failover();

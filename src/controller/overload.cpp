@@ -13,6 +13,12 @@ const char* to_string(OverloadState state) {
   return "?";
 }
 
+void OverloadMonitor::reset() {
+  window_.clear();
+  state_ = OverloadState::normal;
+  clean_cycles_ = 0;
+}
+
 bool OverloadMonitor::observe(const OverloadSample& sample) {
   window_.push_back(sample);
   if (window_.size() > std::max<std::size_t>(1, config_.window_cycles)) window_.pop_front();

@@ -66,6 +66,9 @@ class OverloadMonitor {
 
   /// Feeds one cycle's sample; returns true when the state changed.
   bool observe(const OverloadSample& sample);
+  /// Ends the current episode: back to normal with an empty window. The
+  /// transition count keeps its history.
+  void reset();
 
   OverloadState state() const { return state_; }
   std::uint64_t transitions() const { return transitions_; }

@@ -293,6 +293,12 @@ void ShardCore::overload_step() {
   event_queue_.push_back(Event{0, note});
 }
 
+void ShardCore::reset_overload() {
+  overload_monitor_.reset();
+  throttle_multiplier_ = 1;
+  critical_shedding_cycles_ = 0;
+}
+
 void ShardCore::update_throttle(std::uint32_t multiplier) {
   multiplier = std::max(1u, multiplier);
   if (multiplier == throttle_multiplier_) return;

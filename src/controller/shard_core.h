@@ -217,6 +217,11 @@ class ShardCore final : public NorthboundApi {
   /// on sent traffic or shutting transports down.
   void quiesce() { task_manager_.quiesce(); }
 
+  /// Drops the overload episode and report throttle back to normal without
+  /// a renegotiation message: for a drained shard, which is never cycled
+  /// again and has no agent left to tell.
+  void reset_overload();
+
   // ---- application management ----------------------------------------------
   /// Registers an application; the master keeps ownership.
   App* add_app(std::unique_ptr<App> app);

@@ -458,6 +458,58 @@ TEST(ShardDrain, PacedMigrationEndsDrained) {
   EXPECT_FALSE(coordinator.drain_shard(0).ok());
 }
 
+// A drained shard is never cycled again, so the overload episode it was in
+// when its last agent left would stay frozen in its state, its throttle and
+// their shard-labelled probes. Finishing the drain resets both to normal,
+// and does so silently: there is no agent left to renegotiate with.
+TEST(ShardDrain, DrainedShardOverloadResetsToNormal) {
+  auto config = failover_config(/*warm_checkpoints=*/true);
+  config.obs.enabled = true;
+  config.overload.ingest.max_messages = 24;
+  config.overload.ingest.max_bytes = 16384;
+  Testbed testbed(std::move(config), 2);
+  auto& enb0 = testbed.add_enb(spec(1, 0));
+  auto& enb1 = testbed.add_enb(spec(2, 0));
+  testbed.add_enb(spec(3, 1));
+  testbed.run_seconds(0.3);
+
+  // Flood shard 0's agents with registrations the master never asked for.
+  for (auto* enb : {&enb0, &enb1}) {
+    const std::int64_t now_sf = enb->agent->api().current_subframe();
+    for (std::uint32_t i = 0; i < 40; ++i) {
+      proto::StatsRequest request;
+      request.request_id = 0xF1000000u + i;
+      request.mode = proto::ReportMode::periodic;
+      request.periodicity_ttis = 1;
+      request.flags = proto::stats_flags::kAll;
+      enb->agent->reports().register_request(request, now_sf);
+    }
+  }
+  auto& coordinator = testbed.coordinator();
+  for (int tti = 0; tti < 500 && coordinator.shard(0).throttle_multiplier() == 1; ++tti) {
+    testbed.run_ttis(1);
+  }
+  ASSERT_EQ(coordinator.shard(0).overload_state(), ctrl::OverloadState::critical);
+  ASSERT_GT(coordinator.shard(0).throttle_multiplier(), 1u);
+
+  ASSERT_TRUE(coordinator.drain_shard(0).ok());
+  testbed.run_ttis(4);
+  ASSERT_EQ(coordinator.shard_health(0), Coordinator::ShardHealth::drained);
+  const std::uint64_t renegotiations = coordinator.shard(0).throttle_renegotiations();
+  const std::uint64_t transitions = coordinator.shard(0).overload_transitions();
+  testbed.run_seconds(0.2);
+
+  EXPECT_EQ(coordinator.shard(0).overload_state(), ctrl::OverloadState::normal);
+  EXPECT_EQ(coordinator.shard(0).throttle_multiplier(), 1u);
+  const auto text = coordinator.metrics().prometheus_text();
+  EXPECT_NE(text.find("overload_state{shard=\"0\"} 0\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("throttle_multiplier{shard=\"0\"} 1\n"), std::string::npos) << text;
+  // Silent and history-preserving: no renegotiation went out, and the
+  // transitions already counted stay counted.
+  EXPECT_EQ(coordinator.shard(0).throttle_renegotiations(), renegotiations);
+  EXPECT_EQ(coordinator.shard(0).overload_transitions(), transitions);
+}
+
 TEST(ShardDrain, RefusedWithoutASurvivor) {
   Testbed testbed(failover_config(/*warm_checkpoints=*/false), 2);
   testbed.add_enb(spec(1, 0));
