@@ -374,8 +374,8 @@ void Coordinator::step_drain() {
 void Coordinator::finish_drain() {
   shard_states_[draining_shard_].health = ShardHealth::drained;
   // A drained shard is never cycled again: without the reset it would
-  // report the overload episode it was in when its last agent left
-  // forever. A failed shard, by contrast, keeps its post-mortem state.
+  // report, forever, the overload episode it was in when its last agent
+  // left. A failed shard, by contrast, keeps its post-mortem state.
   shards_[draining_shard_]->reset_overload();
   draining_shard_ = kNoShard;
 }
