@@ -19,11 +19,14 @@
 #include "proto/checkpoint.h"
 #include "proto/messages.h"
 #include "proto/wire.h"
+#include "seeded.h"
 
 namespace {
 
 using namespace flexran;
 using namespace flexran::proto;
+using flexran::seeded::Digest;
+using flexran::seeded::Prng;
 
 /// One decoder surface under test: a valid encoding plus a type-erased
 /// decode that re-encodes what it accepted (nullopt when it refused). Most
@@ -561,22 +564,6 @@ TEST(ProtoRobustness, ReusedStatsReplySurvivesHostileBytes) {
 // folds into one digest pinned below. A decoder rewrite that changes any
 // verdict or any decoded value on any mutant changes the digest.
 
-/// splitmix64: a fixed, platform-independent sequence for a given seed.
-class Prng {
- public:
-  explicit Prng(std::uint64_t seed) : state_(seed) {}
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-  std::size_t below(std::size_t bound) { return bound == 0 ? 0 : next() % bound; }
-
- private:
-  std::uint64_t state_;
-};
-
 /// The mutants of `surfaces[index]`, in a fixed order for a fixed seed.
 std::vector<std::vector<std::uint8_t>> mutants_of(const std::vector<Surface>& surfaces,
                                                    std::size_t index) {
@@ -613,23 +600,6 @@ std::vector<std::vector<std::uint8_t>> mutants_of(const std::vector<Surface>& su
   }
   return out;
 }
-
-/// FNV-1a over everything the decoder revealed about each mutant.
-class Digest {
- public:
-  void add(std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(value >> (8 * i)));
-  }
-  void add(std::span<const std::uint8_t> bytes) {
-    add(bytes.size());
-    for (const auto b : bytes) byte(b);
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  void byte(std::uint8_t b) { hash_ = (hash_ ^ b) * 0x100000001b3ull; }
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
 
 std::uint64_t surface_digest(const std::vector<Surface>& surfaces, std::size_t index,
                              std::size_t* mutant_count) {
