@@ -11,7 +11,7 @@
 // tools/check.sh gates on them (not on ns/op):
 //
 //   bench_wire --check=bench/wire_alloc_baseline.txt   # exit 1 on regression
-//   bench_wire [BENCH_wire.json]                       # report + JSON
+//   bench_wire BENCH_wire.json                         # report + JSON
 //
 // The legacy encode baseline replicates the pre-change encoding (a fresh
 // WireEncoder per sub-message, copied into the parent via field_bytes,
@@ -443,14 +443,24 @@ int main(int argc, char** argv) {
   util::Logger::instance().set_level(util::LogLevel::error);
 
   std::string check_path;
-  std::string json_path = "BENCH_wire.json";
+  std::string json_path;
+  bool usage_error = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--check=", 0) == 0) {
       check_path = arg.substr(std::strlen("--check="));
+    } else if (arg.empty() || arg.front() == '-' || !json_path.empty()) {
+      usage_error = true;
     } else {
       json_path = arg;
     }
+  }
+  if (usage_error || (check_path.empty() && json_path.empty())) {
+    std::fprintf(stderr,
+                 "usage: bench_wire OUT.json                 # report, JSON to OUT.json\n"
+                 "       bench_wire --check=BASELINE [OUT]   # allocation gate, exit 1 on "
+                 "regression\n");
+    return 2;
   }
 
   const proto::StatsReply reply = make_reply();

@@ -69,39 +69,78 @@ YamlNode& YamlNode::append(YamlNode value) {
   return items_.back();
 }
 
+namespace {
+
+bool looks_quoted(std::string_view text) {
+  return text.size() >= 2 && text.front() == text.back() &&
+         (text.front() == '"' || text.front() == '\'');
+}
+
+/// True when `text`, written bare after "key: " (or after "- " for a
+/// sequence item), parses back as the same scalar.
+bool reads_back_bare(std::string_view text, bool item) {
+  if (text.empty() || text != trim(text) || text.front() == '#' || looks_quoted(text) ||
+      text == "{}" || (text.front() == '[' && text.back() == ']')) {
+    return false;
+  }
+  // "- a: b" opens a map item unless the text starts an inline sequence.
+  return !item || text.front() == '[' || text.find(':') == std::string_view::npos;
+}
+
+std::string scalar_text(const std::string& text, bool item) {
+  return reads_back_bare(text, item) ? text : '"' + text + '"';
+}
+
+/// "[a,b]" reads back item for item unless an item holds a comma; a lone
+/// empty item would read back as no items at all.
+bool has_inline_form(const YamlNode& node) {
+  if (!node.is_sequence()) return false;
+  const auto& items = node.items();
+  if (items.size() == 1 && items.front().is_scalar() && items.front().as_string().empty()) {
+    return false;
+  }
+  for (const auto& item : items) {
+    if (!item.is_scalar() || item.as_string() != trim(item.as_string()) ||
+        item.as_string().find(',') != std::string::npos) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The text that follows "key:" or "-" on the same line: a scalar, an
+/// inline sequence or "{}"; empty when the value is a block below.
+std::string inline_text(const YamlNode& value, bool item) {
+  if (value.is_scalar()) return " " + scalar_text(value.as_string(), item);
+  if (value.is_map() && value.entries().empty()) return " {}";
+  if (!has_inline_form(value)) return "";
+  std::string out = " [";
+  for (std::size_t i = 0; i < value.items().size(); ++i) {
+    if (i > 0) out += ',';
+    out += value.items()[i].as_string();
+  }
+  return out + "]";
+}
+
+}  // namespace
+
 std::string YamlNode::dump(int indent) const {
   const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
   std::string out;
+  const auto line = [&](const std::string& head, const YamlNode& value, bool item) {
+    const std::string tail = inline_text(value, item);
+    out += pad + head + tail + "\n";
+    if (tail.empty()) out += value.dump(indent + 1);
+  };
   switch (kind_) {
     case Kind::scalar:
       out = scalar_;
       break;
     case Kind::map:
-      for (const auto& [key, value] : entries_) {
-        out += pad + key + ":";
-        if (value.is_scalar()) {
-          out += " " + value.scalar_ + "\n";
-        } else if (value.is_sequence() && !value.items_.empty() && value.items_.front().is_scalar()) {
-          // Inline form for scalar sequences.
-          out += " [";
-          for (std::size_t i = 0; i < value.items_.size(); ++i) {
-            if (i > 0) out += ", ";
-            out += value.items_[i].scalar_;
-          }
-          out += "]\n";
-        } else {
-          out += "\n" + value.dump(indent + 1);
-        }
-      }
+      for (const auto& [key, value] : entries_) line(key + ":", value, false);
       break;
     case Kind::sequence:
-      for (const auto& item : items_) {
-        if (item.is_scalar()) {
-          out += pad + "- " + item.scalar_ + "\n";
-        } else {
-          out += pad + "-\n" + item.dump(indent + 1);
-        }
-      }
+      for (const auto& item : items_) line("-", item, true);
       break;
   }
   return out;
@@ -112,11 +151,19 @@ namespace {
 struct Line {
   int indent = 0;
   std::string text;  // trimmed content
+  int number = 0;    // 1-based line in the source text
 };
+
+Error unplaced(const Line& line, const char* why) {
+  return Error::decode_failure("yaml line " + std::to_string(line.number) + ": " + why +
+                               ": '" + line.text + "'");
+}
 
 std::vector<Line> lex(std::string_view text) {
   std::vector<Line> lines;
+  int number = 0;
   for (const auto& raw : split_lines(text)) {
+    ++number;
     std::string_view view = raw;
     // Strip comments that start a token (simplistic: full-line or ' #').
     if (auto pos = view.find(" #"); pos != std::string_view::npos) view = view.substr(0, pos);
@@ -124,7 +171,7 @@ std::vector<Line> lex(std::string_view text) {
     while (indent < view.size() && view[indent] == ' ') ++indent;
     const std::string_view content = trim(view);
     if (content.empty() || content.front() == '#') continue;
-    lines.push_back({static_cast<int>(indent), std::string(content)});
+    lines.push_back({static_cast<int>(indent), std::string(content), number});
   }
   return lines;
 }
@@ -142,6 +189,7 @@ Result<YamlNode> parse_inline_sequence(std::string_view text) {
 
 Result<YamlNode> parse_scalar_or_inline(std::string_view text) {
   auto trimmed = trim(text);
+  if (trimmed == "{}") return YamlNode::map();
   if (trimmed.size() >= 2 && trimmed.front() == '[' && trimmed.back() == ']') {
     return parse_inline_sequence(trimmed);
   }
@@ -163,10 +211,9 @@ Result<YamlNode> parse_map_block(const std::vector<Line>& lines, std::size_t& po
   while (pos < lines.size() && lines[pos].indent == indent && lines[pos].text.front() != '-') {
     const Line& line = lines[pos];
     const auto colon = line.text.find(':');
-    if (colon == std::string::npos) {
-      return Error::decode_failure("yaml: expected 'key:' in line '" + line.text + "'");
-    }
+    if (colon == std::string::npos) return unplaced(line, "expected 'key:'");
     std::string key(trim(std::string_view(line.text).substr(0, colon)));
+    if (!key.empty() && key.front() == '#') return unplaced(line, "key starts a comment");
     std::string_view rest = trim(std::string_view(line.text).substr(colon + 1));
     ++pos;
     if (!rest.empty()) {
@@ -194,7 +241,7 @@ Result<YamlNode> parse_sequence_block(const std::vector<Line>& lines, std::size_
       // "- key: value" opens an inline map item whose further keys are
       // indented past the dash.
       const int item_indent = line.indent + 2;
-      std::vector<Line> synthetic{{item_indent, std::string(rest)}};
+      std::vector<Line> synthetic{{item_indent, std::string(rest), line.number}};
       // Pull subsequent deeper lines into the same item.
       std::size_t next = pos + 1;
       while (next < lines.size() && lines[next].indent >= item_indent &&
@@ -205,6 +252,7 @@ Result<YamlNode> parse_sequence_block(const std::vector<Line>& lines, std::size_
       std::size_t sub_pos = 0;
       auto item = parse_map_block(synthetic, sub_pos, item_indent);
       if (!item.ok()) return item.error();
+      if (sub_pos != synthetic.size()) return unplaced(synthetic[sub_pos], "not part of the item");
       node.append(std::move(item.value()));
       pos = next;
     } else if (!rest.empty()) {
@@ -240,9 +288,7 @@ Result<YamlNode> parse_yaml(std::string_view text) {
   std::size_t pos = 0;
   auto root = parse_block(lines, pos, lines.front().indent);
   if (!root.ok()) return root;
-  if (pos != lines.size()) {
-    return Error::decode_failure("yaml: trailing content at line '" + lines[pos].text + "'");
-  }
+  if (pos != lines.size()) return unplaced(lines[pos], "no place in the tree");
   return root;
 }
 

@@ -1,7 +1,9 @@
 // Minimal YAML subset parser, sufficient for FlexRAN policy-reconfiguration
 // messages (paper Fig. 3): nested maps via 2+-space indentation, block
-// sequences ("- item"), inline sequences ("[a, b, c]"), and scalar values.
-// Anchors, multi-line scalars, and flow maps are intentionally unsupported.
+// sequences ("- item"), inline sequences ("[a, b, c]"), the empty map "{}",
+// and scalar values. Anchors, multi-line scalars, and other flow maps are
+// intentionally unsupported. A line the parser cannot place in the tree is
+// an error that names the line, never silently dropped.
 #pragma once
 
 #include <map>
@@ -44,7 +46,12 @@ class YamlNode {
   const std::vector<YamlNode>& items() const { return items_; }
   YamlNode& append(YamlNode value);
 
-  /// Serializes back to YAML text (used to build protocol messages).
+  /// Structural equality: same kind, scalar text, entries and items.
+  bool operator==(const YamlNode&) const = default;
+
+  /// Serializes back to YAML text. For every tree parse_yaml returns,
+  /// parse_yaml(dump()) gives an equal tree back; scalars the parser would
+  /// read differently are written quoted. Only tests call it.
   std::string dump(int indent = 0) const;
 
  private:

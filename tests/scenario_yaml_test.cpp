@@ -12,12 +12,14 @@
 
 #include "scenario/config.h"
 #include "seeded.h"
+#include "util/yaml_lite.h"
 #include "verify/fuzzer.h"
 
 namespace flexran {
 namespace {
 
 using seeded::Digest;
+using seeded::Prng;
 
 const char* const kScenarioFiles[] = {
     "centralized_scheduling.yaml", "chaos_master.yaml",   "chaos_metrics.yaml",
@@ -177,6 +179,93 @@ TEST(ScenarioYaml, EmittedDocumentDigestsArePinned) {
         << digest.value() << "ull},";
   }
   EXPECT_EQ(pinned.size(), docs.size());
+}
+
+// ------------------------------------------------------ YAML round trip --
+//
+// A seeded mutation corpus over the scenario files: truncations, bit
+// flips, inserted bytes and line splices across files. For every mutant
+// the parser accepts, dumping the tree and parsing the dump must give the
+// same tree back, and the scenario parser must survive every mutant (the
+// sanitizer builds run this too).
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line + "\n");
+  return lines;
+}
+
+std::vector<std::string> yaml_mutants() {
+  std::vector<std::vector<std::string>> files;
+  for (const char* file : kScenarioFiles) files.push_back(lines_of(read_scenario(file)));
+  // Bytes that carry structure in the dialect, plus arbitrary ones.
+  const std::string structural = " -:#[],'\"\n\t{}";
+  std::vector<std::string> out;
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    Prng prng(0x9a31u + f);
+    std::string valid;
+    for (const auto& line : files[f]) valid += line;
+    for (int round = 0; round < 64; ++round) {  // truncation
+      out.push_back(valid.substr(0, prng.below(valid.size())));
+    }
+    for (int round = 0; round < 384; ++round) {  // 1-4 bit flips
+      std::string mutant = valid;
+      for (std::size_t n = 1 + prng.below(4); n > 0; --n) {
+        mutant[prng.below(mutant.size())] ^= static_cast<char>(1u << prng.below(8));
+      }
+      out.push_back(std::move(mutant));
+    }
+    for (int round = 0; round < 384; ++round) {  // 1-3 inserted bytes
+      std::string mutant = valid;
+      for (std::size_t n = 1 + prng.below(3); n > 0; --n) {
+        const char byte = prng.below(2) == 0 ? structural[prng.below(structural.size())]
+                                             : static_cast<char>(prng.next());
+        mutant.insert(mutant.begin() + static_cast<std::ptrdiff_t>(prng.below(mutant.size() + 1)),
+                      byte);
+      }
+      out.push_back(std::move(mutant));
+    }
+    for (int round = 0; round < 256; ++round) {  // 1-2 lines from any file, re-indented
+      auto lines = files[f];
+      for (std::size_t n = 1 + prng.below(2); n > 0; --n) {
+        const auto& donor = files[prng.below(files.size())];
+        std::string line = donor[prng.below(donor.size())];
+        line.insert(0, prng.below(3) * 2, ' ');
+        if (prng.below(2) == 0 && line.find_first_not_of(' ') != std::string::npos) {
+          line.erase(0, std::min<std::size_t>(2, line.find_first_not_of(' ')));
+        }
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(prng.below(lines.size() + 1)),
+                     std::move(line));
+      }
+      std::string mutant;
+      for (const auto& line : lines) mutant += line;
+      out.push_back(std::move(mutant));
+    }
+  }
+  return out;
+}
+
+TEST(ScenarioYaml, AcceptedMutantsRoundTripThroughDump) {
+  std::size_t accepted = 0;
+  std::size_t scenarios = 0;
+  std::size_t failures = 0;
+  std::string first_failure;
+  for (const auto& mutant : yaml_mutants()) {
+    if (scenario::parse_scenario(mutant).ok()) ++scenarios;
+    const auto doc = util::parse_yaml(mutant);
+    if (!doc.ok()) continue;
+    ++accepted;
+    const std::string dumped = doc->dump();
+    const auto again = util::parse_yaml(dumped);
+    if (again.ok() && *again == *doc) continue;
+    if (failures++ == 0) first_failure = "---- mutant\n" + mutant + "---- dump\n" + dumped;
+  }
+  EXPECT_GT(accepted, 5000u);
+  EXPECT_GT(scenarios, 1000u);
+  EXPECT_EQ(failures, 0u) << first_failure;
+  std::printf("%zu mutants accepted by parse_yaml, %zu by parse_scenario\n", accepted,
+              scenarios);
 }
 
 }  // namespace

@@ -379,6 +379,48 @@ TEST(YamlLite, DumpReparsesToSameStructure) {
   EXPECT_EQ(sched2->find("parameters")->find("rb_share")->items().size(), 2u);
 }
 
+TEST(YamlLite, DumpIsAFixedPointOnEdgeShapes) {
+  YamlNode root = YamlNode::map();
+  YamlNode one_empty = YamlNode::sequence();
+  one_empty.append(YamlNode::scalar(""));
+  root.insert("one_empty", std::move(one_empty));
+  YamlNode items = YamlNode::sequence();
+  items.append(YamlNode::map());
+  items.append(YamlNode::sequence());
+  items.append(YamlNode::scalar("#not a comment"));
+  items.append(YamlNode::scalar("[not, a, list]"));
+  root.insert("items", std::move(items));
+  root.insert("empty_map", YamlNode::map());
+  int n = 0;
+  for (const char* text : {"", " padded ", "\"quoted\"", "{}", "a: b", "#x"}) {
+    root.insert("scalar" + std::to_string(n++), YamlNode::scalar(text));
+  }
+  YamlNode inline_items = YamlNode::sequence();
+  for (const char* text : {"a:b", "#c", "", "[d"}) inline_items.append(YamlNode::scalar(text));
+  root.insert("inline", std::move(inline_items));
+
+  const auto reparsed = parse_yaml(root.dump());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.error().message << "\n" << root.dump();
+  EXPECT_TRUE(reparsed.value() == root) << root.dump();
+  EXPECT_EQ(reparsed->find("one_empty")->items().size(), 1u);
+  EXPECT_TRUE(reparsed->find("items")->items()[0].is_map());
+}
+
+TEST(YamlLite, RejectsLinesItCannotPlace) {
+  // "- -enb: 1" used to open an item whose keys were all dropped, leaving
+  // one empty map behind; now the first unplaced line is an error.
+  auto doc = parse_yaml("ues:\n  - -enb: 1\n    cqi: 15\n");
+  ASSERT_FALSE(doc.ok());
+  EXPECT_NE(doc.error().message.find("line 2"), std::string::npos) << doc.error().message;
+  // A deeper line under a key that already has a value belongs nowhere.
+  doc = parse_yaml("ues:\n  - enb: 1\n      cqi: 15\n");
+  ASSERT_FALSE(doc.ok());
+  EXPECT_NE(doc.error().message.find("line 3"), std::string::npos) << doc.error().message;
+  doc = parse_yaml("a: 1\n\n  b: 2\n");
+  ASSERT_FALSE(doc.ok());
+  EXPECT_NE(doc.error().message.find("line 3"), std::string::npos) << doc.error().message;
+}
+
 TEST(YamlLite, MalformedInputFails) {
   auto doc = parse_yaml("just a bare line without colon\n");
   EXPECT_FALSE(doc.ok());
