@@ -1,8 +1,12 @@
 #include "scenario/config.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
+#include <span>
+#include <string_view>
+#include <type_traits>
 
 #include "apps/remote_scheduler.h"
 #include "scenario/obs_export.h"
@@ -15,318 +19,367 @@ namespace flexran::scenario {
 
 namespace {
 
-util::Result<double> read_double(const util::YamlNode& node, const char* key,
-                                 double fallback) {
-  const auto* value = node.find(key);
-  if (value == nullptr) return fallback;
-  return value->as_double();
-}
+using util::YamlNode;
 
-util::Result<long long> read_int(const util::YamlNode& node, const char* key,
-                                 long long fallback) {
-  const auto* value = node.find(key);
-  if (value == nullptr) return fallback;
-  return value->as_int();
-}
+// ---- the scenario schema ------------------------------------------------------
+//
+// One table per section (top level, enbs[], ues[], faults[]) lists every key
+// once: its name, the member it sets and the values it accepts. The member's
+// type gives the key's kind and emit format: bool is a flag (true | false),
+// integers are written in decimal, doubles as %.3f, strings as text (one of
+// `choices` when given), FaultKind by name, std::vector<int> as a block list
+// and a vector of specs as a section of items. parse_scenario and
+// scenario_to_yaml both walk these tables.
 
-std::string read_string(const util::YamlNode& node, const char* key,
-                        const std::string& fallback) {
-  const auto* value = node.find(key);
-  return value == nullptr ? fallback : value->as_string();
-}
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Accepted numeric range: [lo, hi], or (lo, hi] when lo_open. NaN passes,
+/// as it always has.
+struct Range {
+  double lo = -kInf;
+  double hi = kInf;
+  bool lo_open = false;
+
+  bool rejects(double v) const { return (lo_open ? v <= lo : v < lo) || v > hi; }
+  std::string describe() const {
+    if (hi == kInf) return util::format(lo_open ? "> %g" : ">= %g", lo);
+    return util::format(lo_open ? "in (%g, %g]" : "in %g..%g", lo, hi);
+  }
+};
+
+constexpr Range at_least(double lo) { return {lo, kInf, false}; }
+constexpr Range above(double lo) { return {lo, kInf, true}; }
+
+template <typename S>
+struct Key {
+  const char* name;
+  util::Status (*read)(S& out, const YamlNode& value, const Key& key, const std::string& where);
+  void (*write)(const S& in, const std::string& pad, std::string& out);
+  Range range{};
+  std::span<const std::string_view> choices{};
+  /// Emit the key only when this holds (nullptr = always).
+  bool (*emit_if)(const S&) = nullptr;
+  /// Fill the member when the key is absent (nullptr = keep the default);
+  /// `index` is the item's position in its section.
+  void (*fill_default)(S& out, std::size_t index) = nullptr;
+
+  constexpr Key emitted_if(bool (*when)(const S&)) const {
+    Key key = *this;
+    key.emit_if = when;
+    return key;
+  }
+  constexpr Key defaults_to(void (*fill)(S&, std::size_t)) const {
+    Key key = *this;
+    key.fill_default = fill;
+    return key;
+  }
+};
+
+template <typename>
+struct MemberOf;
+template <typename S, typename T>
+struct MemberOf<T S::*> {
+  using Struct = S;
+  using Type = T;
+};
+template <auto Member>
+using StructOf = typename MemberOf<decltype(Member)>::Struct;
+template <auto Member>
+using TypeOf = typename MemberOf<decltype(Member)>::Type;
+
+/// The key table of a section's item type (specialized below).
+template <typename Item>
+constexpr std::span<const Key<Item>> kItemKeys{};
+
+constexpr FaultKind kLastFaultKind = FaultKind::shard_drain;
 
 util::Result<FaultKind> parse_fault_kind(const std::string& name) {
-  if (name == "partition") return FaultKind::partition;
-  if (name == "heal") return FaultKind::heal;
-  if (name == "delay_spike") return FaultKind::delay_spike;
-  if (name == "corrupt") return FaultKind::corrupt;
-  if (name == "duplicate") return FaultKind::duplicate;
-  if (name == "crash") return FaultKind::crash;
-  if (name == "restart") return FaultKind::restart;
-  if (name == "flap") return FaultKind::flap;
-  if (name == "vsf_crash") return FaultKind::vsf_crash;
-  if (name == "vsf_overrun") return FaultKind::vsf_overrun;
-  if (name == "vsf_invalid") return FaultKind::vsf_invalid;
-  if (name == "report_flood") return FaultKind::report_flood;
-  if (name == "master_crash") return FaultKind::master_crash;
-  if (name == "shard_kill") return FaultKind::shard_kill;
-  if (name == "reorder") return FaultKind::reorder;
-  if (name == "shard_drain") return FaultKind::shard_drain;
-  return util::Error::invalid_argument(
-      "fault kind must be partition | heal | delay_spike | corrupt | duplicate | reorder | "
-      "crash | restart | flap | vsf_crash | vsf_overrun | vsf_invalid | report_flood | "
-      "master_crash | shard_kill | shard_drain");
+  std::string known;
+  for (int k = 0; k <= static_cast<int>(kLastFaultKind); ++k) {
+    const auto kind = static_cast<FaultKind>(k);
+    if (name == to_string(kind)) return kind;
+    known += (k == 0 ? "" : " | ") + std::string(to_string(kind));
+  }
+  return util::Error::invalid_argument("must be " + known);
 }
+
+template <typename S>
+util::Status read_section(std::span<const Key<S>> keys, const YamlNode& node,
+                          const std::string& where, std::size_t index, S& out);
+
+template <auto Member>
+util::Status read_value(StructOf<Member>& out, const YamlNode& node, const Key<StructOf<Member>>& key,
+                        const std::string& where) {
+  using T = TypeOf<Member>;
+  const auto fail = [&](const std::string& why) -> util::Status {
+    return util::Error::invalid_argument(where + ": " + key.name + " " + why);
+  };
+  if constexpr (std::is_same_v<T, bool>) {
+    if (!node.is_scalar() || (node.as_string() != "true" && node.as_string() != "false")) {
+      return fail("must be true or false, not '" + node.as_string() + "'");
+    }
+    out.*Member = node.as_string() == "true";
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    constexpr bool integral = std::is_integral_v<T>;
+    const auto value = [&] {
+      if constexpr (integral) {
+        return node.as_int();
+      } else {
+        return node.as_double();
+      }
+    }();
+    if (!value.ok()) return fail(integral ? "must be an integer" : "must be a number");
+    if (key.range.rejects(static_cast<double>(*value))) {
+      return fail("must be " + key.range.describe());
+    }
+    out.*Member = static_cast<T>(*value);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!node.is_scalar()) return fail("must be a scalar");
+    const auto& text = node.as_string();
+    if (!key.choices.empty() &&
+        std::find(key.choices.begin(), key.choices.end(), text) == key.choices.end()) {
+      std::string allowed;
+      for (const auto choice : key.choices) {
+        allowed += (allowed.empty() ? "" : " | ") + std::string(choice.empty() ? "''" : choice);
+      }
+      return fail("must be " + allowed);
+    }
+    out.*Member = text;
+  } else if constexpr (std::is_same_v<T, FaultKind>) {
+    const auto kind = parse_fault_kind(node.as_string());
+    if (!kind.ok()) return fail(kind.error().message);
+    out.*Member = *kind;
+  } else if constexpr (std::is_same_v<T, std::vector<int>>) {
+    if (!node.is_sequence()) return fail("must be a sequence");
+    for (const auto& sample : node.items()) {
+      const auto value = sample.as_int();
+      if (!value.ok()) return fail("samples must be integers");
+      if (key.range.rejects(static_cast<double>(*value))) {
+        return fail("samples must be " + key.range.describe());
+      }
+      (out.*Member).push_back(static_cast<int>(*value));
+    }
+  } else {  // a section: a sequence of items with their own key table
+    if (!node.is_sequence()) return fail("must be a sequence");
+    using Item = typename T::value_type;
+    for (std::size_t i = 0; i < node.items().size(); ++i) {
+      Item item;
+      auto status = read_section(kItemKeys<Item>, node.items()[i],
+                                 std::string(key.name) + "[" + std::to_string(i) + "]", i, item);
+      if (!status.ok()) return status;
+      (out.*Member).push_back(std::move(item));
+    }
+  }
+  return {};
+}
+
+template <typename S>
+void write_section(std::span<const Key<S>> keys, const S& in, const std::string& first_pad,
+                   const std::string& pad, std::string& out);
+
+template <auto Member>
+void write_value(const StructOf<Member>& in, const std::string& pad, std::string& out) {
+  using T = TypeOf<Member>;
+  const T& value = in.*Member;
+  if constexpr (std::is_same_v<T, bool>) {
+    out += value ? " true\n" : " false\n";
+  } else if constexpr (std::is_same_v<T, double>) {
+    out += util::format(" %.3f\n", value);
+  } else if constexpr (std::is_integral_v<T>) {
+    out += " " + std::to_string(value) + "\n";
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out += " " + value + "\n";
+  } else if constexpr (std::is_same_v<T, FaultKind>) {
+    out += " " + std::string(to_string(value)) + "\n";
+  } else if constexpr (std::is_same_v<T, std::vector<int>>) {
+    out += "\n";
+    for (const int sample : value) out += pad + "  - " + std::to_string(sample) + "\n";
+  } else {
+    out += "\n";
+    using Item = typename T::value_type;
+    for (const auto& item : value) write_section(kItemKeys<Item>, item, pad + "  - ", pad + "    ", out);
+  }
+}
+
+template <auto Member>
+constexpr Key<StructOf<Member>> key(const char* name, Range range = {},
+                                    std::span<const std::string_view> choices = {}) {
+  return {name, &read_value<Member>, &write_value<Member>, range, choices};
+}
+
+/// One pass over a YAML map: every entry must name a key of the table, at
+/// most once. The values are then read in table order, so cross-key
+/// defaults (an eNodeB's name from its id) see the keys before them.
+template <typename S>
+util::Status read_section(std::span<const Key<S>> keys, const YamlNode& node,
+                          const std::string& where, std::size_t index, S& out) {
+  std::vector<const YamlNode*> given(keys.size(), nullptr);
+  for (const auto& [name, value] : node.entries()) {
+    const auto it = std::find_if(keys.begin(), keys.end(),
+                                 [&](const Key<S>& key) { return name == key.name; });
+    if (it == keys.end()) {
+      return util::Error::invalid_argument(where + ": unknown key '" + name + "'");
+    }
+    auto& slot = given[static_cast<std::size_t>(it - keys.begin())];
+    if (slot != nullptr) {
+      return util::Error::invalid_argument(where + ": key '" + name + "' given twice");
+    }
+    slot = &value;
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (given[i] != nullptr) {
+      auto status = keys[i].read(out, *given[i], keys[i], where);
+      if (!status.ok()) return status;
+    } else if (keys[i].fill_default != nullptr) {
+      keys[i].fill_default(out, index);
+    }
+  }
+  return {};
+}
+
+template <typename S>
+void write_section(std::span<const Key<S>> keys, const S& in, const std::string& first_pad,
+                   const std::string& pad, std::string& out) {
+  const std::string* line_pad = &first_pad;
+  for (const auto& key : keys) {
+    if (key.emit_if != nullptr && !key.emit_if(in)) continue;
+    out += *line_pad + key.name + ":";
+    key.write(in, pad, out);
+    line_pad = &pad;
+  }
+}
+
+constexpr std::string_view kTrafficKinds[] = {"full_buffer", "cbr", "none"};
+constexpr std::string_view kInvariantModes[] = {"off", "log", "trap"};
+constexpr std::string_view kDefects[] = {"", "stale_composite"};
+
+using Enb = ScenarioEnbSpec;
+constexpr Key<Enb> kEnbKeys[] = {
+    key<&Enb::enb_id>("enb_id").defaults_to(
+        [](Enb& enb, std::size_t index) { enb.enb_id = static_cast<lte::EnbId>(index + 1); }),
+    key<&Enb::name>("name").defaults_to(
+        [](Enb& enb, std::size_t) { enb.name = "enb-" + std::to_string(enb.enb_id); }),
+    key<&Enb::shard>("shard").emitted_if([](const Enb& enb) { return enb.shard >= 0; }),
+    key<&Enb::dl_scheduler>("dl_scheduler"),
+    key<&Enb::ul_scheduler>("ul_scheduler"),
+    key<&Enb::control_delay_ms>("control_delay_ms"),
+    key<&Enb::remote_fallback_ttis>("remote_fallback_ttis", at_least(0)),
+    key<&Enb::fallback_scheduler>("fallback_scheduler"),
+    key<&Enb::control_rate_mbps>("control_rate_mbps", at_least(0)),
+    key<&Enb::send_budget_bytes>("send_budget_bytes", at_least(0)),
+};
+
+using Ue = ScenarioUeSpec;
+constexpr auto has_trace = [](const Ue& ue) { return !ue.cqi_trace.empty(); };
+constexpr Key<Ue> kUeKeys[] = {
+    key<&Ue::enb>("enb"),
+    key<&Ue::cqi>("cqi", {1, 15}),
+    key<&Ue::ul_cqi>("ul_cqi"),
+    key<&Ue::traffic>("traffic", {}, kTrafficKinds),
+    key<&Ue::rate_mbps>("rate_mbps"),
+    key<&Ue::ul_traffic>("ul_traffic", {}, kTrafficKinds),
+    key<&Ue::ul_rate_mbps>("ul_rate_mbps"),
+    key<&Ue::cqi_trace>("cqi_trace", {0, 15}).emitted_if(has_trace),
+    key<&Ue::cqi_trace_period_ms>("cqi_trace_period_ms", above(0)).emitted_if(has_trace),
+};
+
+using Fault = FaultEvent;
+constexpr Key<Fault> kFaultKeys[] = {
+    key<&Fault::at_s>("at_s", at_least(0)),
+    key<&Fault::kind>("kind"),
+    key<&Fault::enb>("enb"),
+    key<&Fault::duration_s>("duration_s"),
+    key<&Fault::delay_ms>("delay_ms"),
+    key<&Fault::count>("count", at_least(1)),
+    key<&Fault::period_s>("period_s", above(0)),
+    key<&Fault::shard>("shard"),
+};
+
+template <>
+constexpr std::span<const Key<Enb>> kItemKeys<Enb> = kEnbKeys;
+template <>
+constexpr std::span<const Key<Ue>> kItemKeys<Ue> = kUeKeys;
+template <>
+constexpr std::span<const Key<Fault>> kItemKeys<Fault> = kFaultKeys;
+
+using Spec = ScenarioSpec;
+constexpr Key<Spec> kRootKeys[] = {
+    key<&Spec::duration_s>("duration_s", above(0)),
+    key<&Spec::stats_period_ttis>("stats_period_ttis", at_least(1)),
+    key<&Spec::seed>("seed", at_least(1)),
+    key<&Spec::shards>("shards", at_least(1)),
+    key<&Spec::shard_stall_cycles>("shard_stall_cycles", at_least(0)),
+    key<&Spec::remote_scheduler>("remote_scheduler"),
+    key<&Spec::schedule_ahead_sf>("schedule_ahead_sf"),
+    key<&Spec::agent_timeout_ms>("agent_timeout_ms"),
+    key<&Spec::agent_disconnect_timeout_ms>("agent_disconnect_timeout_ms"),
+    key<&Spec::request_timeout_ms>("request_timeout_ms"),
+    key<&Spec::ingest_max_messages>("ingest_max_messages", at_least(0)),
+    key<&Spec::ingest_max_bytes>("ingest_max_bytes", at_least(0)),
+    key<&Spec::observability>("observability"),
+    key<&Spec::metrics_period_s>("metrics_period_s", above(0)),
+    key<&Spec::master_recovery>("master_recovery"),
+    key<&Spec::resync_tokens_per_s>("resync_tokens_per_s", at_least(0)),
+    key<&Spec::resync_burst>("resync_burst", at_least(1)),
+    key<&Spec::resync_retry_after_ms>("resync_retry_after_ms", at_least(0)),
+    key<&Spec::readiness_quorum>("readiness_quorum", {0, 1, true}),
+    key<&Spec::readiness_timeout_ms>("readiness_timeout_ms", at_least(0)),
+    key<&Spec::warm_checkpoint>("warm_checkpoint"),
+    key<&Spec::checkpoint_period_s>("checkpoint_period_s", above(0)),
+    key<&Spec::invariants>("invariants", {}, kInvariantModes),
+    key<&Spec::defect>("defect", {}, kDefects).emitted_if([](const Spec& spec) {
+      return !spec.defect.empty();
+    }),
+    key<&Spec::enbs>("enbs"),
+    key<&Spec::ues>("ues").emitted_if([](const Spec& spec) { return !spec.ues.empty(); }),
+    key<&Spec::faults>("faults").emitted_if([](const Spec& spec) { return !spec.faults.empty(); }),
+};
+
+util::Error invalid(const std::string& message) { return util::Error::invalid_argument(message); }
 
 }  // namespace
 
 util::Result<ScenarioSpec> parse_scenario(const std::string& yaml) {
   auto doc = util::parse_yaml(yaml);
   if (!doc.ok()) return doc.error();
-  const util::YamlNode& root = doc.value();
   ScenarioSpec spec;
+  auto status = read_section<Spec>(kRootKeys, doc.value(), "top level", 0, spec);
+  if (!status.ok()) return status.error();
 
-  auto duration = read_double(root, "duration_s", spec.duration_s);
-  if (!duration.ok()) return duration.error();
-  spec.duration_s = *duration;
-  if (spec.duration_s <= 0) return util::Error::invalid_argument("duration_s must be > 0");
-
-  auto period = read_int(root, "stats_period_ttis", spec.stats_period_ttis);
-  if (!period.ok()) return period.error();
-  if (*period < 1) return util::Error::invalid_argument("stats_period_ttis must be >= 1");
-  spec.stats_period_ttis = static_cast<std::uint32_t>(*period);
-
-  auto seed = read_int(root, "seed", static_cast<long long>(spec.seed));
-  if (!seed.ok()) return seed.error();
-  if (*seed < 1) return util::Error::invalid_argument("seed must be >= 1");
-  spec.seed = static_cast<std::uint64_t>(*seed);
-
-  auto shards = read_int(root, "shards", static_cast<long long>(spec.shards));
-  if (!shards.ok()) return shards.error();
-  if (*shards < 1) return util::Error::invalid_argument("shards must be >= 1");
-  spec.shards = static_cast<std::size_t>(*shards);
-
-  auto stall = read_int(root, "shard_stall_cycles", spec.shard_stall_cycles);
-  if (!stall.ok()) return stall.error();
-  if (*stall < 0) return util::Error::invalid_argument("shard_stall_cycles must be >= 0");
-  spec.shard_stall_cycles = *stall;
-
-  spec.remote_scheduler = read_string(root, "remote_scheduler", "false") == "true";
-  auto ahead = read_int(root, "schedule_ahead_sf", spec.schedule_ahead_sf);
-  if (!ahead.ok()) return ahead.error();
-  spec.schedule_ahead_sf = static_cast<int>(*ahead);
-
-  auto agent_timeout = read_double(root, "agent_timeout_ms", spec.agent_timeout_ms);
-  if (!agent_timeout.ok()) return agent_timeout.error();
-  spec.agent_timeout_ms = *agent_timeout;
-  auto disconnect_timeout =
-      read_double(root, "agent_disconnect_timeout_ms", spec.agent_disconnect_timeout_ms);
-  if (!disconnect_timeout.ok()) return disconnect_timeout.error();
-  spec.agent_disconnect_timeout_ms = *disconnect_timeout;
-  auto request_timeout = read_double(root, "request_timeout_ms", spec.request_timeout_ms);
-  if (!request_timeout.ok()) return request_timeout.error();
-  spec.request_timeout_ms = *request_timeout;
-
-  auto ingest_messages = read_int(root, "ingest_max_messages", spec.ingest_max_messages);
-  if (!ingest_messages.ok()) return ingest_messages.error();
-  if (*ingest_messages < 0) {
-    return util::Error::invalid_argument("ingest_max_messages must be >= 0");
-  }
-  spec.ingest_max_messages = *ingest_messages;
-  auto ingest_bytes = read_int(root, "ingest_max_bytes", spec.ingest_max_bytes);
-  if (!ingest_bytes.ok()) return ingest_bytes.error();
-  if (*ingest_bytes < 0) return util::Error::invalid_argument("ingest_max_bytes must be >= 0");
-  spec.ingest_max_bytes = *ingest_bytes;
-
-  spec.observability = read_string(root, "observability", "false") == "true";
-  auto metrics_period = read_double(root, "metrics_period_s", spec.metrics_period_s);
-  if (!metrics_period.ok()) return metrics_period.error();
-  if (*metrics_period <= 0) {
-    return util::Error::invalid_argument("metrics_period_s must be > 0");
-  }
-  spec.metrics_period_s = *metrics_period;
-
-  spec.master_recovery = read_string(root, "master_recovery", "false") == "true";
-  auto resync_rate = read_double(root, "resync_tokens_per_s", spec.resync_tokens_per_s);
-  if (!resync_rate.ok()) return resync_rate.error();
-  if (*resync_rate < 0) {
-    return util::Error::invalid_argument("resync_tokens_per_s must be >= 0");
-  }
-  spec.resync_tokens_per_s = *resync_rate;
-  auto resync_burst = read_double(root, "resync_burst", spec.resync_burst);
-  if (!resync_burst.ok()) return resync_burst.error();
-  if (*resync_burst < 1) return util::Error::invalid_argument("resync_burst must be >= 1");
-  spec.resync_burst = *resync_burst;
-  auto retry_after = read_double(root, "resync_retry_after_ms", spec.resync_retry_after_ms);
-  if (!retry_after.ok()) return retry_after.error();
-  if (*retry_after < 0) {
-    return util::Error::invalid_argument("resync_retry_after_ms must be >= 0");
-  }
-  spec.resync_retry_after_ms = *retry_after;
-  auto quorum = read_double(root, "readiness_quorum", spec.readiness_quorum);
-  if (!quorum.ok()) return quorum.error();
-  if (*quorum <= 0 || *quorum > 1) {
-    return util::Error::invalid_argument("readiness_quorum must be in (0, 1]");
-  }
-  spec.readiness_quorum = *quorum;
-  auto readiness_timeout =
-      read_double(root, "readiness_timeout_ms", spec.readiness_timeout_ms);
-  if (!readiness_timeout.ok()) return readiness_timeout.error();
-  if (*readiness_timeout < 0) {
-    return util::Error::invalid_argument("readiness_timeout_ms must be >= 0");
-  }
-  spec.readiness_timeout_ms = *readiness_timeout;
-  spec.warm_checkpoint = read_string(root, "warm_checkpoint", "false") == "true";
-  auto ckpt_period = read_double(root, "checkpoint_period_s", spec.checkpoint_period_s);
-  if (!ckpt_period.ok()) return ckpt_period.error();
-  if (*ckpt_period <= 0) {
-    return util::Error::invalid_argument("checkpoint_period_s must be > 0");
-  }
-  spec.checkpoint_period_s = *ckpt_period;
-
-  spec.invariants = read_string(root, "invariants", spec.invariants);
-  if (spec.invariants != "off" && spec.invariants != "log" && spec.invariants != "trap") {
-    return util::Error::invalid_argument("invariants must be off | log | trap");
-  }
-  spec.defect = read_string(root, "defect", spec.defect);
-  if (!spec.defect.empty() && spec.defect != "stale_composite") {
-    return util::Error::invalid_argument("defect must be stale_composite (or omitted)");
-  }
-
-  const auto* enbs = root.find("enbs");
-  if (enbs == nullptr || !enbs->is_sequence() || enbs->items().empty()) {
-    return util::Error::invalid_argument("scenario needs a non-empty 'enbs' sequence");
-  }
-  for (const auto& item : enbs->items()) {
-    ScenarioEnbSpec enb;
-    auto id = read_int(item, "enb_id", static_cast<long long>(spec.enbs.size() + 1));
-    if (!id.ok()) return id.error();
-    enb.enb_id = static_cast<lte::EnbId>(*id);
-    enb.name = read_string(item, "name", "enb-" + std::to_string(enb.enb_id));
-    auto shard_pin = read_int(item, "shard", enb.shard);
-    if (!shard_pin.ok()) return shard_pin.error();
-    if (*shard_pin >= 0 && static_cast<std::size_t>(*shard_pin) >= spec.shards) {
-      return util::Error::invalid_argument("enb shard pin " + std::to_string(*shard_pin) +
-                                           " out of range for " + std::to_string(spec.shards) +
-                                           " shards");
-    }
-    enb.shard = *shard_pin;
-    enb.dl_scheduler = read_string(item, "dl_scheduler", enb.dl_scheduler);
-    enb.ul_scheduler = read_string(item, "ul_scheduler", enb.ul_scheduler);
-    auto delay = read_double(item, "control_delay_ms", 0.0);
-    if (!delay.ok()) return delay.error();
-    enb.control_delay_ms = *delay;
-    auto fallback = read_int(item, "remote_fallback_ttis", enb.remote_fallback_ttis);
-    if (!fallback.ok()) return fallback.error();
-    if (*fallback < 0) {
-      return util::Error::invalid_argument("remote_fallback_ttis must be >= 0");
-    }
-    enb.remote_fallback_ttis = *fallback;
-    enb.fallback_scheduler = read_string(item, "fallback_scheduler", enb.fallback_scheduler);
-    auto rate = read_double(item, "control_rate_mbps", enb.control_rate_mbps);
-    if (!rate.ok()) return rate.error();
-    if (*rate < 0) return util::Error::invalid_argument("control_rate_mbps must be >= 0");
-    enb.control_rate_mbps = *rate;
-    auto send_budget = read_int(item, "send_budget_bytes", enb.send_budget_bytes);
-    if (!send_budget.ok()) return send_budget.error();
-    if (*send_budget < 0) {
-      return util::Error::invalid_argument("send_budget_bytes must be >= 0");
-    }
-    enb.send_budget_bytes = *send_budget;
-    spec.enbs.push_back(std::move(enb));
-  }
-
-  const auto* ues = root.find("ues");
-  if (ues != nullptr) {
-    if (!ues->is_sequence()) return util::Error::invalid_argument("'ues' must be a sequence");
-    for (const auto& item : ues->items()) {
-      ScenarioUeSpec ue;
-      auto enb_ref = read_int(item, "enb", 1);
-      if (!enb_ref.ok()) return enb_ref.error();
-      ue.enb = static_cast<lte::EnbId>(*enb_ref);
-      const bool known = std::any_of(spec.enbs.begin(), spec.enbs.end(),
-                                     [&](const auto& e) { return e.enb_id == ue.enb; });
-      if (!known) {
-        return util::Error::invalid_argument("UE references unknown enb " +
-                                             std::to_string(ue.enb));
-      }
-      auto cqi = read_int(item, "cqi", ue.cqi);
-      if (!cqi.ok()) return cqi.error();
-      if (*cqi < 1 || *cqi > 15) return util::Error::invalid_argument("cqi must be in 1..15");
-      ue.cqi = static_cast<int>(*cqi);
-      auto ul_cqi = read_int(item, "ul_cqi", ue.ul_cqi);
-      if (!ul_cqi.ok()) return ul_cqi.error();
-      ue.ul_cqi = static_cast<int>(*ul_cqi);
-      ue.traffic = read_string(item, "traffic", ue.traffic);
-      if (ue.traffic != "full_buffer" && ue.traffic != "cbr" && ue.traffic != "none") {
-        return util::Error::invalid_argument("traffic must be full_buffer | cbr | none");
-      }
-      auto rate = read_double(item, "rate_mbps", ue.rate_mbps);
-      if (!rate.ok()) return rate.error();
-      ue.rate_mbps = *rate;
-      ue.ul_traffic = read_string(item, "ul_traffic", ue.ul_traffic);
-      if (ue.ul_traffic != "full_buffer" && ue.ul_traffic != "cbr" && ue.ul_traffic != "none") {
-        return util::Error::invalid_argument("ul_traffic must be full_buffer | cbr | none");
-      }
-      auto ul_rate = read_double(item, "ul_rate_mbps", ue.ul_rate_mbps);
-      if (!ul_rate.ok()) return ul_rate.error();
-      ue.ul_rate_mbps = *ul_rate;
-      if (const auto* trace = item.find("cqi_trace"); trace != nullptr) {
-        if (!trace->is_sequence()) {
-          return util::Error::invalid_argument("cqi_trace must be a sequence");
-        }
-        for (const auto& sample : trace->items()) {
-          auto v = sample.as_int();
-          if (!v.ok()) return v.error();
-          if (*v < 0 || *v > 15) return util::Error::invalid_argument("trace CQI in 0..15");
-          ue.cqi_trace.push_back(static_cast<int>(*v));
-        }
-        auto trace_period = read_double(item, "cqi_trace_period_ms", ue.cqi_trace_period_ms);
-        if (!trace_period.ok()) return trace_period.error();
-        if (*trace_period <= 0) {
-          return util::Error::invalid_argument("cqi_trace_period_ms must be > 0");
-        }
-        ue.cqi_trace_period_ms = *trace_period;
-      }
-      spec.ues.push_back(std::move(ue));
+  // Rules that relate keys across sections.
+  if (spec.enbs.empty()) return invalid("scenario needs at least one eNodeB");
+  for (std::size_t i = 0; i < spec.enbs.size(); ++i) {
+    const auto pin = spec.enbs[i].shard;
+    if (pin >= 0 && static_cast<std::size_t>(pin) >= spec.shards) {
+      return invalid(util::format("eNodeB %zu: shard pin %lld out of range for %zu shards", i,
+                                  pin, spec.shards));
     }
   }
-
-  const auto* faults = root.find("faults");
-  if (faults != nullptr) {
-    if (!faults->is_sequence()) {
-      return util::Error::invalid_argument("'faults' must be a sequence");
+  for (std::size_t i = 0; i < spec.ues.size(); ++i) {
+    const auto enb = spec.ues[i].enb;
+    if (std::none_of(spec.enbs.begin(), spec.enbs.end(),
+                     [&](const auto& e) { return e.enb_id == enb; })) {
+      return invalid(util::format("UE %zu references unknown eNodeB %u", i, enb));
     }
-    for (const auto& item : faults->items()) {
-      FaultEvent fault;
-      auto at = read_double(item, "at_s", fault.at_s);
-      if (!at.ok()) return at.error();
-      if (*at < 0) return util::Error::invalid_argument("fault at_s must be >= 0");
-      fault.at_s = *at;
-      auto kind = parse_fault_kind(read_string(item, "kind", "partition"));
-      if (!kind.ok()) return kind.error();
-      fault.kind = *kind;
-      auto enb = read_int(item, "enb", fault.enb);
-      if (!enb.ok()) return enb.error();
-      fault.enb = static_cast<int>(*enb);
-      if (fault.enb >= 0 && static_cast<std::size_t>(fault.enb) >= spec.enbs.size()) {
-        return util::Error::invalid_argument("fault references unknown enb index " +
-                                             std::to_string(fault.enb));
+  }
+  for (std::size_t i = 0; i < spec.faults.size(); ++i) {
+    const auto& fault = spec.faults[i];
+    if (fault.enb >= 0 && static_cast<std::size_t>(fault.enb) >= spec.enbs.size()) {
+      return invalid(util::format("fault %zu references unknown eNodeB index %d", i, fault.enb));
+    }
+    if (fault.shard >= 0 && static_cast<std::size_t>(fault.shard) >= spec.shards) {
+      return invalid(util::format("fault %zu references unknown shard %d", i, fault.shard));
+    }
+    if (fault.kind == FaultKind::shard_kill || fault.kind == FaultKind::shard_drain) {
+      // -1 ("every shard") would orphan the whole fleet with nobody left
+      // to adopt it; failover needs a survivor, so the target is explicit.
+      if (fault.shard < 0) {
+        return invalid(util::format("fault %zu: %s needs an explicit shard", i,
+                                    to_string(fault.kind)));
       }
-      auto duration = read_double(item, "duration_s", fault.duration_s);
-      if (!duration.ok()) return duration.error();
-      fault.duration_s = *duration;
-      auto delay = read_double(item, "delay_ms", fault.delay_ms);
-      if (!delay.ok()) return delay.error();
-      fault.delay_ms = *delay;
-      auto count = read_int(item, "count", fault.count);
-      if (!count.ok()) return count.error();
-      if (*count < 1) return util::Error::invalid_argument("fault count must be >= 1");
-      fault.count = static_cast<int>(*count);
-      auto fault_period = read_double(item, "period_s", fault.period_s);
-      if (!fault_period.ok()) return fault_period.error();
-      if (*fault_period <= 0) return util::Error::invalid_argument("period_s must be > 0");
-      fault.period_s = *fault_period;
-      auto fault_shard = read_int(item, "shard", fault.shard);
-      if (!fault_shard.ok()) return fault_shard.error();
-      if (*fault_shard >= 0 && static_cast<std::size_t>(*fault_shard) >= spec.shards) {
-        return util::Error::invalid_argument("fault references unknown shard " +
-                                             std::to_string(*fault_shard));
+      if (spec.shards < 2) {
+        return invalid(util::format("fault %zu: %s needs shards >= 2", i, to_string(fault.kind)));
       }
-      fault.shard = static_cast<int>(*fault_shard);
-      if (fault.kind == FaultKind::shard_kill || fault.kind == FaultKind::shard_drain) {
-        // -1 ("every shard") would orphan the whole fleet with nobody left
-        // to adopt it; failover needs a survivor, so the target is explicit.
-        if (fault.shard < 0) {
-          return util::Error::invalid_argument(std::string(to_string(fault.kind)) +
-                                               " needs an explicit shard");
-        }
-        if (spec.shards < 2) {
-          return util::Error::invalid_argument(std::string(to_string(fault.kind)) +
-                                               " needs shards >= 2");
-        }
-      }
-      spec.faults.push_back(fault);
     }
   }
   return spec;
@@ -731,85 +784,12 @@ std::string format_summary(const ScenarioRunSummary& summary) {
 }
 
 std::string scenario_to_yaml(const ScenarioSpec& spec) {
-  // Every scalar is emitted unconditionally (the parser accepts defaults
-  // back), except fields whose empty/unset form has no YAML spelling.
-  // %.3f quantizes times to 1 ms / rates to 1 kb/s -- the fuzzer only
-  // generates values on that grid, so parse(emit(spec)) is exact.
+  // Every key is emitted (the parser accepts defaults back), except those
+  // whose empty/unset form has no YAML spelling. %.3f quantizes times to
+  // 1 ms / rates to 1 kb/s -- the fuzzer only generates values on that
+  // grid, so parse(emit(spec)) is exact.
   std::string out;
-  out += util::format("duration_s: %.3f\n", spec.duration_s);
-  out += util::format("stats_period_ttis: %u\n", spec.stats_period_ttis);
-  out += util::format("seed: %llu\n", static_cast<unsigned long long>(spec.seed));
-  out += util::format("shards: %zu\n", spec.shards);
-  out += util::format("shard_stall_cycles: %lld\n",
-                      static_cast<long long>(spec.shard_stall_cycles));
-  out += util::format("remote_scheduler: %s\n", spec.remote_scheduler ? "true" : "false");
-  out += util::format("schedule_ahead_sf: %d\n", spec.schedule_ahead_sf);
-  out += util::format("agent_timeout_ms: %.3f\n", spec.agent_timeout_ms);
-  out += util::format("agent_disconnect_timeout_ms: %.3f\n",
-                      spec.agent_disconnect_timeout_ms);
-  out += util::format("request_timeout_ms: %.3f\n", spec.request_timeout_ms);
-  out += util::format("ingest_max_messages: %lld\n",
-                      static_cast<long long>(spec.ingest_max_messages));
-  out += util::format("ingest_max_bytes: %lld\n",
-                      static_cast<long long>(spec.ingest_max_bytes));
-  out += util::format("observability: %s\n", spec.observability ? "true" : "false");
-  out += util::format("metrics_period_s: %.3f\n", spec.metrics_period_s);
-  out += util::format("master_recovery: %s\n", spec.master_recovery ? "true" : "false");
-  out += util::format("resync_tokens_per_s: %.3f\n", spec.resync_tokens_per_s);
-  out += util::format("resync_burst: %.3f\n", spec.resync_burst);
-  out += util::format("resync_retry_after_ms: %.3f\n", spec.resync_retry_after_ms);
-  out += util::format("readiness_quorum: %.3f\n", spec.readiness_quorum);
-  out += util::format("readiness_timeout_ms: %.3f\n", spec.readiness_timeout_ms);
-  out += util::format("warm_checkpoint: %s\n", spec.warm_checkpoint ? "true" : "false");
-  out += util::format("checkpoint_period_s: %.3f\n", spec.checkpoint_period_s);
-  out += util::format("invariants: %s\n", spec.invariants.c_str());
-  if (!spec.defect.empty()) out += util::format("defect: %s\n", spec.defect.c_str());
-  out += "enbs:\n";
-  for (const auto& enb : spec.enbs) {
-    out += util::format("  - enb_id: %u\n", static_cast<unsigned>(enb.enb_id));
-    out += util::format("    name: %s\n", enb.name.c_str());
-    if (enb.shard >= 0) out += util::format("    shard: %lld\n",
-                                            static_cast<long long>(enb.shard));
-    out += util::format("    dl_scheduler: %s\n", enb.dl_scheduler.c_str());
-    out += util::format("    ul_scheduler: %s\n", enb.ul_scheduler.c_str());
-    out += util::format("    control_delay_ms: %.3f\n", enb.control_delay_ms);
-    out += util::format("    remote_fallback_ttis: %lld\n",
-                        static_cast<long long>(enb.remote_fallback_ttis));
-    out += util::format("    fallback_scheduler: %s\n", enb.fallback_scheduler.c_str());
-    out += util::format("    control_rate_mbps: %.3f\n", enb.control_rate_mbps);
-    out += util::format("    send_budget_bytes: %lld\n",
-                        static_cast<long long>(enb.send_budget_bytes));
-  }
-  if (!spec.ues.empty()) {
-    out += "ues:\n";
-    for (const auto& ue : spec.ues) {
-      out += util::format("  - enb: %u\n", static_cast<unsigned>(ue.enb));
-      out += util::format("    cqi: %d\n", ue.cqi);
-      out += util::format("    ul_cqi: %d\n", ue.ul_cqi);
-      out += util::format("    traffic: %s\n", ue.traffic.c_str());
-      out += util::format("    rate_mbps: %.3f\n", ue.rate_mbps);
-      out += util::format("    ul_traffic: %s\n", ue.ul_traffic.c_str());
-      out += util::format("    ul_rate_mbps: %.3f\n", ue.ul_rate_mbps);
-      if (!ue.cqi_trace.empty()) {
-        out += "    cqi_trace:\n";
-        for (int sample : ue.cqi_trace) out += util::format("      - %d\n", sample);
-        out += util::format("    cqi_trace_period_ms: %.3f\n", ue.cqi_trace_period_ms);
-      }
-    }
-  }
-  if (!spec.faults.empty()) {
-    out += "faults:\n";
-    for (const auto& fault : spec.faults) {
-      out += util::format("  - at_s: %.3f\n", fault.at_s);
-      out += util::format("    kind: %s\n", to_string(fault.kind));
-      out += util::format("    enb: %d\n", fault.enb);
-      out += util::format("    duration_s: %.3f\n", fault.duration_s);
-      out += util::format("    delay_ms: %.3f\n", fault.delay_ms);
-      out += util::format("    count: %d\n", fault.count);
-      out += util::format("    period_s: %.3f\n", fault.period_s);
-      out += util::format("    shard: %d\n", fault.shard);
-    }
-  }
+  write_section<Spec>(kRootKeys, spec, "", "", out);
   return out;
 }
 

@@ -3,6 +3,12 @@
 // against the testbed. This is the surface the `flexran_sim` CLI exposes;
 // it reuses the same YAML-lite dialect as policy reconfiguration messages.
 //
+// Every key is the name of a member below: ScenarioSpec at the top level,
+// ScenarioEnbSpec under `enbs`, ScenarioUeSpec under `ues` and FaultEvent
+// under `faults`. A key the schema does not know, a key given twice in one
+// map, and a flag other than `true` or `false` are errors that name the
+// section and the key, never silently ignored.
+//
 // Example:
 //   duration_s: 5
 //   stats_period_ttis: 1
@@ -140,8 +146,9 @@ struct ScenarioSpec {
   std::vector<ScenarioUeSpec> ues;
 };
 
-/// Parses a scenario document; rejects unknown traffic kinds, missing
-/// eNodeB references, and malformed values.
+/// Parses a scenario document; rejects unknown or repeated keys, values
+/// out of range, unknown traffic kinds, missing eNodeB references, and
+/// malformed YAML.
 util::Result<ScenarioSpec> parse_scenario(const std::string& yaml);
 
 struct UeRunResult {

@@ -181,6 +181,85 @@ TEST(ScenarioYaml, EmittedDocumentDigestsArePinned) {
   EXPECT_EQ(pinned.size(), docs.size());
 }
 
+// ---------------------------------------------------------- rejections --
+
+/// Parses `yaml` and returns the error message ("" when it was accepted).
+std::string rejection(const std::string& yaml) {
+  const auto spec = scenario::parse_scenario(yaml);
+  return spec.ok() ? "" : spec.error().message;
+}
+
+const char* const kMinimal = "enbs:\n  - enb_id: 1\n";
+
+TEST(ScenarioYaml, RejectsUnknownKeysInEverySection) {
+  EXPECT_EQ(rejection(std::string("duraton_s: 3\n") + kMinimal),
+            "top level: unknown key 'duraton_s'");
+  EXPECT_EQ(rejection("enbs:\n  - enb_id: 1\n    nmae: east\n"),
+            "enbs[0]: unknown key 'nmae'");
+  EXPECT_EQ(rejection(std::string(kMinimal) + "ues:\n  - enb: 1\n  - cqi_trce: [1, 2]\n"),
+            "ues[1]: unknown key 'cqi_trce'");
+  EXPECT_EQ(rejection(std::string(kMinimal) + "faults:\n  - kind: heal\n    shrad: 0\n"),
+            "faults[0]: unknown key 'shrad'");
+}
+
+TEST(ScenarioYaml, RejectsRepeatedKeys) {
+  EXPECT_EQ(rejection(std::string("seed: 3\nseed: 4\n") + kMinimal),
+            "top level: key 'seed' given twice");
+  EXPECT_EQ(rejection(std::string(kMinimal) + "ues:\n  - enb: 1\n    cqi: 3\n    cqi: 9\n"),
+            "ues[0]: key 'cqi' given twice");
+}
+
+TEST(ScenarioYaml, FlagsAreTrueOrFalse) {
+  for (const char* flag : {"remote_scheduler", "observability", "master_recovery",
+                           "warm_checkpoint"}) {
+    for (const char* text : {"yes", "True", "1", ""}) {
+      EXPECT_EQ(rejection(std::string(flag) + ": " + text + "\n" + kMinimal),
+                std::string("top level: ") + flag + " must be true or false, not '" + text + "'");
+    }
+    const auto on = scenario::parse_scenario(std::string(flag) + ": true\n" + kMinimal);
+    ASSERT_TRUE(on.ok()) << on.error().message;
+  }
+  const auto spec = scenario::parse_scenario(std::string("remote_scheduler: true\n") + kMinimal);
+  ASSERT_TRUE(spec.ok());
+  EXPECT_TRUE(spec->remote_scheduler);
+}
+
+TEST(ScenarioYaml, TextKeysTakeScalarsOnly) {
+  EXPECT_EQ(rejection("enbs:\n  - enb_id: 1\n    name:\n      first: a\n"),
+            "enbs[0]: name must be a scalar");
+  EXPECT_EQ(rejection(std::string("defect: {}\n") + kMinimal), "top level: defect must be a scalar");
+}
+
+TEST(ScenarioYaml, EveryFaultKindParsesFromItsName) {
+  for (int k = 0; k <= static_cast<int>(scenario::FaultKind::shard_drain); ++k) {
+    const auto kind = static_cast<scenario::FaultKind>(k);
+    const auto spec = scenario::parse_scenario(
+        std::string("shards: 2\n") + kMinimal + "faults:\n  - kind: " + scenario::to_string(kind) +
+        "\n    shard: 1\n");
+    ASSERT_TRUE(spec.ok()) << scenario::to_string(kind) << ": " << spec.error().message;
+    EXPECT_EQ(spec->faults.at(0).kind, kind);
+  }
+  EXPECT_NE(rejection(std::string(kMinimal) + "faults:\n  - kind: meteor\n").find("kind must be "
+                                                                                  "partition | heal"),
+            std::string::npos);
+}
+
+TEST(ScenarioYaml, CrossSectionRulesStillHold) {
+  // Defaults that depend on position and on other keys.
+  const auto spec = scenario::parse_scenario("enbs:\n  - name: a\n  - enb_id: 9\n");
+  ASSERT_TRUE(spec.ok()) << spec.error().message;
+  EXPECT_EQ(spec->enbs[0].enb_id, 1u);
+  EXPECT_EQ(spec->enbs[1].name, "enb-9");
+  EXPECT_NE(rejection("enbs:\n  - shard: 1\n"), "");                          // pin >= shards
+  EXPECT_NE(rejection(std::string(kMinimal) + "ues:\n  - enb: 2\n"), "");      // unknown enb
+  EXPECT_NE(rejection(std::string(kMinimal) + "faults:\n  - enb: 1\n"), "");   // enb index
+  EXPECT_NE(rejection(std::string("shards: 2\n") + kMinimal + "faults:\n  - kind: shard_kill\n"),
+            "");  // no explicit shard
+  EXPECT_NE(rejection(std::string(kMinimal) + "faults:\n  - kind: shard_drain\n    shard: 0\n"),
+            "");  // needs shards >= 2
+  EXPECT_NE(rejection(std::string(kMinimal) + "ues:\n  - cqi_trace: [3, 16]\n"), "");
+}
+
 // ------------------------------------------------------ YAML round trip --
 //
 // A seeded mutation corpus over the scenario files: truncations, bit

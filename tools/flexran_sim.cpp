@@ -57,10 +57,10 @@ void print_usage() {
       "Runs a FlexRAN scenario (master controller + agent-enabled eNodeBs +\n"
       "UEs + traffic) inside the discrete-event simulator and prints per-UE\n"
       "throughput and controller statistics.\n\n"
-      "Scenario keys: duration_s, stats_period_ttis, remote_scheduler,\n"
-      "schedule_ahead_sf, observability, metrics_period_s, enbs[] (enb_id,\n"
-      "name, dl_scheduler, ul_scheduler, control_delay_ms), ues[] (enb, cqi,\n"
-      "ul_cqi, traffic, rate_mbps).\n\n"
+      "Scenario keys are the members of ScenarioSpec (top level),\n"
+      "ScenarioEnbSpec (enbs[]), ScenarioUeSpec (ues[]) and FaultEvent\n"
+      "(faults[]) in src/scenario/config.h; an unknown or repeated key or a\n"
+      "flag other than true/false is an error.\n\n"
       "--metrics-json emits the periodic registry dumps (one JSON object per\n"
       "line); --metrics-prom emits a Prometheus text snapshot of the final\n"
       "state. Both imply `observability: true` and write to stdout unless a\n"
