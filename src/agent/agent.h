@@ -155,8 +155,6 @@ class Agent final : public stack::EnodebDataPlane::Listener {
   std::uint64_t fenced_incarnation_messages() const { return fenced_incarnation_messages_; }
   /// Master restarts detected through an incarnation bump.
   std::uint64_t master_restarts_seen() const { return master_restarts_seen_; }
-  /// Retry-after hints honored (re-sync deferred by the master's gate).
-  std::uint64_t resync_deferrals() const { return resync_deferrals_; }
   /// Simulated times of reconnect attempts (capped; for jitter tests).
   const std::vector<sim::TimeUs>& reconnect_attempt_times() const {
     return reconnect_attempt_times_;
@@ -231,7 +229,6 @@ class Agent final : public stack::EnodebDataPlane::Listener {
   std::uint32_t master_incarnation_ = 0;
   std::uint64_t fenced_incarnation_messages_ = 0;
   std::uint64_t master_restarts_seen_ = 0;
-  std::uint64_t resync_deferrals_ = 0;
   /// While set, the hello retry loop stays quiet (a restarted master's
   /// admission gate asked us to hold).
   sim::TimeUs hello_hold_until_ = 0;

@@ -53,12 +53,6 @@ util::Status VsfCache::store(const std::string& module, const std::string& vsf,
   return {};
 }
 
-void VsfCache::store_instance(const std::string& module, const std::string& vsf,
-                              const std::string& implementation,
-                              std::unique_ptr<Vsf> instance) {
-  cache_[vsf_key(module, vsf, implementation)] = Entry{std::move(instance), 0, false};
-}
-
 Vsf* VsfCache::get(std::string_view module, std::string_view vsf,
                    std::string_view implementation) const {
   auto it = cache_.find(vsf_key(module, vsf, implementation));
@@ -94,14 +88,6 @@ std::uint32_t VsfCache::consecutive_failures(std::string_view module, std::strin
                                              std::string_view implementation) const {
   auto it = cache_.find(vsf_key(module, vsf, implementation));
   return it == cache_.end() ? 0 : it->second.consecutive_failures;
-}
-
-std::size_t VsfCache::quarantined_count() const {
-  std::size_t n = 0;
-  for (const auto& [key, entry] : cache_) {
-    if (entry.quarantined) ++n;
-  }
-  return n;
 }
 
 }  // namespace flexran::agent

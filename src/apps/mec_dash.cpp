@@ -51,9 +51,4 @@ void MecDashApp::on_cycle(std::int64_t cycle, ctrl::NorthboundApi& api) {
   }
 }
 
-double MecDashApp::last_pushed_mbps(lte::Rnti rnti) const {
-  auto it = last_pushed_.find(rnti);
-  return it == last_pushed_.end() ? 0.0 : it->second;
-}
-
 }  // namespace flexran::apps

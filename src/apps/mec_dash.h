@@ -53,8 +53,6 @@ class MecDashApp final : public ctrl::App {
 
   void on_cycle(std::int64_t cycle, ctrl::NorthboundApi& api) override;
 
-  double last_pushed_mbps(lte::Rnti rnti) const;
-
  private:
   Config config_;
   PushBitrateFn push_;

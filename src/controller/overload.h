@@ -72,7 +72,6 @@ class OverloadMonitor {
 
   OverloadState state() const { return state_; }
   std::uint64_t transitions() const { return transitions_; }
-  std::size_t clean_cycles() const { return clean_cycles_; }
 
  private:
   OverloadState target_state() const;

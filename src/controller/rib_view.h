@@ -49,7 +49,6 @@ class RibAnalytics {
   double ue_dl_rate_mbps(AgentId agent, lte::Rnti rnti) const;
   /// Smoothed DL PRB utilization of an agent's cell in [0, 1].
   double cell_utilization(AgentId agent, lte::CellId cell) const;
-  std::size_t samples_taken() const { return samples_; }
 
  private:
   struct UeState {

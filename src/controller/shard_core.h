@@ -298,8 +298,6 @@ class ShardCore final : public NorthboundApi {
   /// deferral queue.
   std::uint64_t resyncs_paced() const { return resyncs_paced_; }
   std::uint64_t resyncs_admitted() const { return resyncs_admitted_; }
-  /// Agents currently parked in the deferral queue.
-  std::size_t resyncs_waiting() const { return resync_queue_.size(); }
   /// Commands refused at the wire because their target had not re-synced
   /// with this incarnation yet.
   std::uint64_t commands_held() const { return commands_held_; }

@@ -927,12 +927,4 @@ DlMacConfig to_dl_mac_config(const lte::SchedulingDecision& decision) {
   return msg;
 }
 
-UlMacConfig to_ul_mac_config(const lte::SchedulingDecision& decision) {
-  UlMacConfig msg;
-  msg.cell_id = decision.cell_id;
-  msg.target_subframe = decision.subframe;
-  msg.dcis = decision.ul;
-  return msg;
-}
-
 }  // namespace flexran::proto

@@ -632,8 +632,7 @@ util::Result<M> unpack(const Envelope& envelope) {
   return M::decode_body(envelope.body);
 }
 
-/// Conversions between wire DCIs and the lte:: scheduling types.
+/// Conversion from the lte:: scheduling types to wire DCIs.
 DlMacConfig to_dl_mac_config(const lte::SchedulingDecision& decision);
-UlMacConfig to_ul_mac_config(const lte::SchedulingDecision& decision);
 
 }  // namespace flexran::proto

@@ -113,7 +113,6 @@ class WireDecoder {
   // two by hand (ingest peeks, benches, tests).
   util::Result<FieldHeader> next_field();
   util::Result<std::uint64_t> read_varint();
-  std::int64_t read_svarint_from(std::uint64_t raw) const { return zigzag_decode(raw); }
   util::Result<double> read_double();
   util::Result<std::uint32_t> read_fixed32();
   util::Result<std::span<const std::uint8_t>> read_bytes();

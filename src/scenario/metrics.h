@@ -37,7 +37,6 @@ class Metrics {
 
   /// Windowed Mb/s series for one key (empty if sampling never ran).
   const util::TimeSeries* series(lte::EnbId enb, lte::Rnti rnti, lte::Direction direction) const;
-  const std::map<Key, util::TimeSeries>& all_series() const { return series_; }
 
   void reset();
 

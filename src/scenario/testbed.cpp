@@ -33,7 +33,7 @@ void Testbed::start_ticker() {
   ticker_.subscribe(
       [this](std::int64_t tti) {
         for (auto& hook : tti_hooks_) hook(tti);
-        if (sim_.now() - last_metrics_sample_ >= metrics_window_) {
+        if (sim_.now() - last_metrics_sample_ >= kMetricsWindow) {
           metrics_.sample_window(sim_.now());
           last_metrics_sample_ = sim_.now();
         }

@@ -106,8 +106,6 @@ class Testbed {
   void add_delivery_listener(std::size_t enb_index, stack::EnodebDataPlane::DeliveryFn fn) {
     delivery_listeners_.at(enb_index).push_back(std::move(fn));
   }
-  /// Throughput window length for metrics time series.
-  void set_metrics_window(sim::TimeUs window) { metrics_window_ = window; }
 
   /// Convenience UE creation: adds the UE to eNodeB `enb_index`, registers
   /// its EPC bearer under UE id == returned RNTI, and wires delivery into
@@ -150,7 +148,8 @@ class Testbed {
   std::vector<std::unique_ptr<Enb>> enbs_;
   std::vector<std::vector<stack::EnodebDataPlane::DeliveryFn>> delivery_listeners_;
   std::vector<std::function<void(std::int64_t)>> tti_hooks_;
-  sim::TimeUs metrics_window_ = sim::from_seconds(1.0);
+  /// Throughput window length for metrics time series.
+  static constexpr sim::TimeUs kMetricsWindow = sim::from_seconds(1.0);
   sim::TimeUs last_metrics_sample_ = 0;
   bool ticker_started_ = false;
   lte::Rnti next_rnti_ = 70;

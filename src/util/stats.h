@@ -96,8 +96,6 @@ class Histogram {
   void add(double sample);
   std::size_t count() const { return count_; }
   const std::vector<std::uint64_t>& buckets() const { return buckets_; }
-  double bucket_lo(std::size_t index) const { return lo_ + width_ * static_cast<double>(index); }
-  double bucket_width() const { return width_; }
 
  private:
   double lo_;

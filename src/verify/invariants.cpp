@@ -53,8 +53,6 @@ void InvariantMonitor::add_quarantine_probe(std::string label,
   quarantine_probes_.push_back({std::move(label), std::move(probe), 0});
 }
 
-void InvariantMonitor::check_now() { check_cycle(coordinator_->cycles_run()); }
-
 void InvariantMonitor::check_cycle(std::int64_t cycle) {
   if (mode_ == Mode::off) return;
   ++checks_run_;

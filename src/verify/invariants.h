@@ -58,7 +58,6 @@ class InvariantMonitor {
   /// monitor must outlive the coordinator's last run_cycle().
   void install();
 
-  void set_mode(Mode mode) { mode_ = mode; }
   Mode mode() const { return mode_; }
 
   /// Registers an agent-side input for I6: a probe returning that agent's
@@ -66,9 +65,6 @@ class InvariantMonitor {
   /// monitor depends only on the controller layer; agent state crosses
   /// this seam as plain counters.
   void add_quarantine_probe(std::string label, std::function<std::uint64_t()> probe);
-
-  /// Runs every check once, immediately (tests; end-of-run sweeps).
-  void check_now();
 
   std::uint64_t checks_run() const { return checks_run_; }
   std::uint64_t violations_total() const { return violations_total_; }

@@ -64,7 +64,6 @@ class WifiApDataPlane {
   void slot(std::int64_t index);
 
   std::uint64_t delivered_bytes(StationId station) const;
-  std::size_t station_count() const { return stations_.size(); }
 
   /// CSMA efficiency for n contenders (1.0 down toward ~0.6).
   static double contention_efficiency(int backlogged_stations);
