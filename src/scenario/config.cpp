@@ -91,6 +91,8 @@ using TypeOf = typename MemberOf<decltype(Member)>::Type;
 template <typename Item>
 constexpr std::span<const Key<Item>> kItemKeys{};
 
+util::Error invalid(const std::string& message) { return util::Error::invalid_argument(message); }
+
 constexpr FaultKind kLastFaultKind = FaultKind::shard_drain;
 
 util::Result<FaultKind> parse_fault_kind(const std::string& name) {
@@ -100,7 +102,24 @@ util::Result<FaultKind> parse_fault_kind(const std::string& name) {
     if (name == to_string(kind)) return kind;
     known += (k == 0 ? "" : " | ") + std::string(to_string(kind));
   }
-  return util::Error::invalid_argument("must be " + known);
+  return invalid("must be " + known);
+}
+
+/// Reads an integer or real of type T that `range` accepts.
+template <typename T>
+util::Result<T> read_number(const YamlNode& node, const Range& range) {
+  const auto value = [&] {
+    if constexpr (std::is_integral_v<T>) {
+      return node.as_int();
+    } else {
+      return node.as_double();
+    }
+  }();
+  if (!value.ok()) {
+    return invalid(std::is_integral_v<T> ? "must be an integer" : "must be a number");
+  }
+  if (range.rejects(static_cast<double>(*value))) return invalid("must be " + range.describe());
+  return static_cast<T>(*value);
 }
 
 template <typename S>
@@ -108,11 +127,11 @@ util::Status read_section(std::span<const Key<S>> keys, const YamlNode& node,
                           const std::string& where, std::size_t index, S& out);
 
 template <auto Member>
-util::Status read_value(StructOf<Member>& out, const YamlNode& node, const Key<StructOf<Member>>& key,
-                        const std::string& where) {
+util::Status read_value(StructOf<Member>& out, const YamlNode& node,
+                        const Key<StructOf<Member>>& key, const std::string& where) {
   using T = TypeOf<Member>;
   const auto fail = [&](const std::string& why) -> util::Status {
-    return util::Error::invalid_argument(where + ": " + key.name + " " + why);
+    return invalid(where + ": " + key.name + " " + why);
   };
   if constexpr (std::is_same_v<T, bool>) {
     if (!node.is_scalar() || (node.as_string() != "true" && node.as_string() != "false")) {
@@ -120,19 +139,9 @@ util::Status read_value(StructOf<Member>& out, const YamlNode& node, const Key<S
     }
     out.*Member = node.as_string() == "true";
   } else if constexpr (std::is_arithmetic_v<T>) {
-    constexpr bool integral = std::is_integral_v<T>;
-    const auto value = [&] {
-      if constexpr (integral) {
-        return node.as_int();
-      } else {
-        return node.as_double();
-      }
-    }();
-    if (!value.ok()) return fail(integral ? "must be an integer" : "must be a number");
-    if (key.range.rejects(static_cast<double>(*value))) {
-      return fail("must be " + key.range.describe());
-    }
-    out.*Member = static_cast<T>(*value);
+    const auto value = read_number<T>(node, key.range);
+    if (!value.ok()) return fail(value.error().message);
+    out.*Member = *value;
   } else if constexpr (std::is_same_v<T, std::string>) {
     if (!node.is_scalar()) return fail("must be a scalar");
     const auto& text = node.as_string();
@@ -152,12 +161,9 @@ util::Status read_value(StructOf<Member>& out, const YamlNode& node, const Key<S
   } else if constexpr (std::is_same_v<T, std::vector<int>>) {
     if (!node.is_sequence()) return fail("must be a sequence");
     for (const auto& sample : node.items()) {
-      const auto value = sample.as_int();
-      if (!value.ok()) return fail("samples must be integers");
-      if (key.range.rejects(static_cast<double>(*value))) {
-        return fail("samples must be " + key.range.describe());
-      }
-      (out.*Member).push_back(static_cast<int>(*value));
+      const auto value = read_number<int>(sample, key.range);
+      if (!value.ok()) return fail("samples " + value.error().message);
+      (out.*Member).push_back(*value);
     }
   } else {  // a section: a sequence of items with their own key table
     if (!node.is_sequence()) return fail("must be a sequence");
@@ -197,7 +203,9 @@ void write_value(const StructOf<Member>& in, const std::string& pad, std::string
   } else {
     out += "\n";
     using Item = typename T::value_type;
-    for (const auto& item : value) write_section(kItemKeys<Item>, item, pad + "  - ", pad + "    ", out);
+    for (const auto& item : value) {
+      write_section(kItemKeys<Item>, item, pad + "  - ", pad + "    ", out);
+    }
   }
 }
 
@@ -217,13 +225,9 @@ util::Status read_section(std::span<const Key<S>> keys, const YamlNode& node,
   for (const auto& [name, value] : node.entries()) {
     const auto it = std::find_if(keys.begin(), keys.end(),
                                  [&](const Key<S>& key) { return name == key.name; });
-    if (it == keys.end()) {
-      return util::Error::invalid_argument(where + ": unknown key '" + name + "'");
-    }
+    if (it == keys.end()) return invalid(where + ": unknown key '" + name + "'");
     auto& slot = given[static_cast<std::size_t>(it - keys.begin())];
-    if (slot != nullptr) {
-      return util::Error::invalid_argument(where + ": key '" + name + "' given twice");
-    }
+    if (slot != nullptr) return invalid(where + ": key '" + name + "' given twice");
     slot = &value;
   }
   for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -332,10 +336,9 @@ constexpr Key<Spec> kRootKeys[] = {
     }),
     key<&Spec::enbs>("enbs"),
     key<&Spec::ues>("ues").emitted_if([](const Spec& spec) { return !spec.ues.empty(); }),
-    key<&Spec::faults>("faults").emitted_if([](const Spec& spec) { return !spec.faults.empty(); }),
+    key<&Spec::faults>("faults").emitted_if(
+        [](const Spec& spec) { return !spec.faults.empty(); }),
 };
-
-util::Error invalid(const std::string& message) { return util::Error::invalid_argument(message); }
 
 }  // namespace
 

@@ -76,11 +76,15 @@ bool looks_quoted(std::string_view text) {
          (text.front() == '"' || text.front() == '\'');
 }
 
+bool looks_inline_sequence(std::string_view text) {
+  return text.size() >= 2 && text.front() == '[' && text.back() == ']';
+}
+
 /// True when `text`, written bare after "key: " (or after "- " for a
 /// sequence item), parses back as the same scalar.
 bool reads_back_bare(std::string_view text, bool item) {
-  if (text.empty() || text != trim(text) || text.front() == '#' || looks_quoted(text) ||
-      text == "{}" || (text.front() == '[' && text.back() == ']')) {
+  if (text.empty() || text != trim(text) || text.front() == '#' || text == "{}" ||
+      looks_quoted(text) || looks_inline_sequence(text)) {
     return false;
   }
   // "- a: b" opens a map item unless the text starts an inline sequence.
@@ -190,15 +194,8 @@ Result<YamlNode> parse_inline_sequence(std::string_view text) {
 Result<YamlNode> parse_scalar_or_inline(std::string_view text) {
   auto trimmed = trim(text);
   if (trimmed == "{}") return YamlNode::map();
-  if (trimmed.size() >= 2 && trimmed.front() == '[' && trimmed.back() == ']') {
-    return parse_inline_sequence(trimmed);
-  }
-  // Strip surrounding quotes if present.
-  if (trimmed.size() >= 2 &&
-      ((trimmed.front() == '"' && trimmed.back() == '"') ||
-       (trimmed.front() == '\'' && trimmed.back() == '\''))) {
-    trimmed = trimmed.substr(1, trimmed.size() - 2);
-  }
+  if (looks_inline_sequence(trimmed)) return parse_inline_sequence(trimmed);
+  if (looks_quoted(trimmed)) trimmed = trimmed.substr(1, trimmed.size() - 2);
   return YamlNode::scalar(std::string(trimmed));
 }
 
