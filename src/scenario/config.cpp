@@ -33,8 +33,8 @@ using util::YamlNode;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Accepted numeric range: [lo, hi], or (lo, hi] when lo_open. NaN passes,
-/// as it always has.
+/// Accepted numeric range: [lo, hi], or (lo, hi] when lo_open. A NaN is
+/// never rejected: every comparison with it is false.
 struct Range {
   double lo = -kInf;
   double hi = kInf;

@@ -81,7 +81,7 @@ enum class FaultKind {
   /// ends `drained`. `shard` must name a specific shard (-1 is rejected at
   /// parse time); a drain that loses the race to another drain or to the
   /// shard's death is logged as rejected, not an error.
-  shard_drain,
+  shard_drain,  // keep last: the scenario parser reads kinds up to this one
 };
 
 const char* to_string(FaultKind kind);

@@ -90,6 +90,14 @@ TEST(ScenarioConfig, RejectsInvalidDocuments) {
       parse_scenario("enbs:\n  - enb_id: 1\nues:\n  - enb: 1\n    traffic: bogus\n").ok());
   EXPECT_FALSE(parse_scenario("enbs:\n  - enb_id: 1\nstats_period_ttis: 0\n").ok());
   EXPECT_FALSE(parse_scenario(": : :\n").ok());  // YAML garbage
+  EXPECT_FALSE(parse_scenario("enbs:\n  - shard: 1\n").ok());  // pin >= shards
+  EXPECT_FALSE(parse_scenario("enbs:\n  - enb_id: 1\nfaults:\n  - enb: 1\n").ok());  // index
+  EXPECT_FALSE(  // shard_kill without an explicit shard
+      parse_scenario("shards: 2\nenbs:\n  - enb_id: 1\nfaults:\n  - kind: shard_kill\n").ok());
+  EXPECT_FALSE(  // shard_drain with a single shard
+      parse_scenario("enbs:\n  - enb_id: 1\nfaults:\n  - kind: shard_drain\n    shard: 0\n").ok());
+  EXPECT_FALSE(
+      parse_scenario("enbs:\n  - enb_id: 1\nues:\n  - enb: 1\n    cqi_trace: [3, 16]\n").ok());
 }
 
 // -------------------------------------------------------------- config run --

@@ -244,20 +244,11 @@ TEST(ScenarioYaml, EveryFaultKindParsesFromItsName) {
   EXPECT_EQ(message.find("faults[0]: kind must be partition | heal | delay_spike"), 0u) << message;
 }
 
-TEST(ScenarioYaml, CrossSectionRulesStillHold) {
-  // Defaults that depend on position and on other keys.
+TEST(ScenarioYaml, EnbDefaultsFollowPositionAndId) {
   const auto spec = scenario::parse_scenario("enbs:\n  - name: a\n  - enb_id: 9\n");
   ASSERT_TRUE(spec.ok()) << spec.error().message;
   EXPECT_EQ(spec->enbs[0].enb_id, 1u);
   EXPECT_EQ(spec->enbs[1].name, "enb-9");
-  EXPECT_NE(rejection("enbs:\n  - shard: 1\n"), "");                          // pin >= shards
-  EXPECT_NE(rejection(std::string(kMinimal) + "ues:\n  - enb: 2\n"), "");      // unknown enb
-  EXPECT_NE(rejection(std::string(kMinimal) + "faults:\n  - enb: 1\n"), "");   // enb index
-  EXPECT_NE(rejection(std::string("shards: 2\n") + kMinimal + "faults:\n  - kind: shard_kill\n"),
-            "");  // no explicit shard
-  EXPECT_NE(rejection(std::string(kMinimal) + "faults:\n  - kind: shard_drain\n    shard: 0\n"),
-            "");  // needs shards >= 2
-  EXPECT_NE(rejection(std::string(kMinimal) + "ues:\n  - cqi_trace: [3, 16]\n"), "");
 }
 
 // ------------------------------------------------------ YAML round trip --
