@@ -3,8 +3,10 @@
 // Measures ns/op and heap allocations per message for the control-channel
 // hot path: nested-message encode (legacy per-sub-message encoders vs. the
 // arena/backpatch path), envelope decode (fresh vs. decode_into reuse),
-// frame + reassemble, the full encode->frame->reassemble->decode loop, and
-// ingest->apply through a one-shard Coordinator over sim transports.
+// frame + reassemble, the full encode->frame->reassemble->decode loop,
+// ingest->apply through a one-shard Coordinator over sim transports, the
+// snapshot publish of one dirty agent, and the agent side of the loop:
+// report build (collect + encode) and command decode + apply.
 //
 // Allocations are counted by a global operator-new hook, so the numbers are
 // exact, deterministic, and independent of machine speed -- which is why
@@ -26,14 +28,20 @@
 #include <fstream>
 #include <map>
 #include <new>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "agent/agent.h"
+#include "agent/reports.h"
 #include "bench/bench_common.h"
 #include "controller/coordinator.h"
+#include "controller/rib_snapshot.h"
 #include "net/framing.h"
 #include "net/sim_transport.h"
+#include "phy/channel.h"
 #include "proto/messages.h"
+#include "stack/enodeb.h"
 #include "util/logging.h"
 
 // ------------------------------------------------- counting operator new --
@@ -99,6 +107,8 @@ constexpr std::uint64_t kEncodeIters = 20'000;
 constexpr std::uint64_t kLoopIters = 20'000;
 constexpr std::uint64_t kWarmup = 200;
 constexpr std::uint64_t kIngestIters = 2'000;
+constexpr std::uint64_t kAgentIters = 2'000;
+constexpr int kScheduleAhead = 8;
 
 proto::StatsReply make_reply() {
   proto::StatsReply reply;
@@ -191,6 +201,12 @@ struct Results {
   double loop_allocs = 0.0;
   double ingest_ns = 0.0;
   double ingest_allocs = 0.0;
+  double publish_ns = 0.0;
+  double publish_allocs = 0.0;
+  double report_build_ns = 0.0;
+  double report_build_allocs = 0.0;
+  double command_apply_ns = 0.0;
+  double command_apply_allocs = 0.0;
   std::size_t wire_bytes = 0;
 };
 
@@ -380,6 +396,113 @@ Results run_bench() {
     res.ingest_ns = ns_per_op(kIngestIters, t0, t1);
     res.ingest_allocs =
         static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kIngestIters);
+
+    // ---- snapshot publish of the one dirty agent the ingest stage fed ----
+    const ctrl::Rib& rib = coordinator.shard(0).rib();
+    std::set<ctrl::AgentId> all;
+    for (const auto& [id, agent] : rib.agents()) {
+      (void)agent;
+      all.insert(id);
+    }
+    ctrl::SnapshotStore store;
+    store.publish(rib, all, true);
+    for (std::uint64_t i = 0; i < kWarmup; ++i) store.publish(rib, all, false);
+    const auto publish_allocs0 = g_allocs.load();
+    auto p0 = Clock::now();
+    for (std::uint64_t i = 0; i < kIngestIters; ++i) store.publish(rib, all, false);
+    auto p1 = Clock::now();
+    res.publish_ns = ns_per_op(kIngestIters, p0, p1);
+    res.publish_allocs = static_cast<double>(g_allocs.load() - publish_allocs0) /
+                         static_cast<double>(kIngestIters);
+  }
+
+  // ---- agent side: an eNodeB with kUes attached UEs under the remote
+  // scheduler, its agent connected over a sim link ----
+  {
+    sim::Simulator sim;
+    stack::EnodebDataPlane dp(sim, lte::EnbConfig{});
+    for (std::size_t i = 0; i < kUes; ++i) {
+      stack::UeProfile profile;
+      profile.dl_channel = std::make_unique<phy::FixedCqiChannel>(10);
+      dp.add_ue(std::move(profile));
+    }
+    agent::AgentConfig agent_config;
+    agent_config.enb_id = 1;
+    agent_config.name = "bench";
+    agent_config.dl_scheduler = "remote";
+    agent::Agent agent(sim, dp, agent_config);
+    auto link = net::make_sim_transport_pair(sim);
+    link.a->set_receive_callback([](std::span<const std::uint8_t>) {});
+    agent.connect(*link.b);
+    sim.run();
+    for (std::int64_t sf = 1; sf <= 10; ++sf) {  // let every UE attach
+      dp.subframe_begin(sf);
+      dp.subframe_end(sf);
+    }
+    sim.run();
+
+    // Report build: collect the per-TTI full StatsReply and encode it.
+    {
+      agent::ReportsManager reports(agent.api());
+      proto::StatsRequest request;
+      request.request_id = 1;
+      request.mode = proto::ReportMode::periodic;
+      request.periodicity_ttis = 1;
+      std::int64_t subframe = 10;
+      reports.register_request(request, subframe);
+      proto::WireEncoder enc;
+      const proto::Envelope header;
+      std::uint64_t built = 0;
+      const auto build = [&] {
+        for (const auto& reply : reports.collect(subframe++)) {
+          enc.clear();
+          proto::encode_envelope(enc, header, reply);
+          ++built;
+        }
+      };
+      for (std::uint64_t i = 0; i < kWarmup; ++i) build();
+      built = 0;
+      const auto allocs0 = g_allocs.load();
+      auto t0 = Clock::now();
+      for (std::uint64_t i = 0; i < kAgentIters; ++i) build();
+      auto t1 = Clock::now();
+      res.report_build_ns = ns_per_op(built, t0, t1);
+      res.report_build_allocs =
+          static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(built);
+    }
+
+    // Command decode + apply: DL MAC configs for the next kScheduleAhead
+    // subframes, delivered over the link into the agent's decision queue.
+    {
+      const auto rntis = dp.ue_rntis();
+      std::vector<std::vector<std::uint8_t>> frames;
+      for (int k = 0; k < kScheduleAhead; ++k) {
+        proto::DlMacConfig command;
+        command.cell_id = lte::EnbConfig{}.cells[0].cell_id;
+        command.target_subframe = 1000 + k;
+        for (std::size_t u = 0; u < 4 && u < rntis.size(); ++u) {
+          lte::DlDci dci;
+          dci.rnti = rntis[u];
+          dci.rbs.set_range(static_cast<int>(6 * u), 6);
+          dci.mcs = 10;
+          command.dcis.push_back(dci);
+        }
+        frames.push_back(proto::pack(command));
+      }
+      std::uint64_t delivered = 0;
+      const auto deliver = [&] {
+        (void)link.a->send(net::TrafficClass::command, frames[delivered++ % frames.size()]);
+        sim.run();
+      };
+      for (std::uint64_t i = 0; i < kWarmup; ++i) deliver();
+      const auto allocs0 = g_allocs.load();
+      auto t0 = Clock::now();
+      for (std::uint64_t i = 0; i < kAgentIters; ++i) deliver();
+      auto t1 = Clock::now();
+      res.command_apply_ns = ns_per_op(kAgentIters, t0, t1);
+      res.command_apply_allocs =
+          static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kAgentIters);
+    }
   }
 
   return res;
@@ -415,6 +538,9 @@ int check_against(const Results& res, const std::string& path) {
       {"frame_reassemble_allocs_per_msg", res.frame_allocs},
       {"wire_loop_allocs_per_msg", res.loop_allocs},
       {"ingest_apply_allocs_per_msg", res.ingest_allocs},
+      {"snapshot_publish_allocs_per_dirty_agent", res.publish_allocs},
+      {"agent_report_build_allocs_per_report", res.report_build_allocs},
+      {"agent_command_apply_allocs_per_command", res.command_apply_allocs},
   };
   int failures = 0;
   for (const auto& [key, limit] : baseline) {
@@ -430,7 +556,7 @@ int check_against(const Results& res, const std::string& path) {
                    key.c_str(), it->second, limit);
       ++failures;
     } else {
-      std::printf("bench_wire --check: %-34s %.4f <= %.4f ok\n", key.c_str(), it->second,
+      std::printf("bench_wire --check: %-40s %.4f <= %.4f ok\n", key.c_str(), it->second,
                   limit);
     }
   }
@@ -490,6 +616,12 @@ int main(int argc, char** argv) {
               res.loop_allocs);
   std::printf("%-34s %10.1f %14.4f\n", "ingest -> apply (Coordinator)", res.ingest_ns,
               res.ingest_allocs);
+  std::printf("%-34s %10.1f %14.4f\n", "snapshot publish (1 dirty agent)", res.publish_ns,
+              res.publish_allocs);
+  std::printf("%-34s %10.1f %14.4f\n", "agent report build + encode", res.report_build_ns,
+              res.report_build_allocs);
+  std::printf("%-34s %10.1f %14.4f\n", "agent command decode + apply", res.command_apply_ns,
+              res.command_apply_allocs);
 
   char buffer[1024];
   std::snprintf(
@@ -500,11 +632,15 @@ int main(int argc, char** argv) {
       "\"decode\":{\"fresh_ns\":%.2f,\"into_ns\":%.2f,\"into_allocs_per_msg\":%.4f},"
       "\"frame\":{\"ns\":%.2f,\"allocs_per_msg\":%.4f},"
       "\"wire_loop\":{\"ns\":%.2f,\"allocs_per_msg\":%.4f},"
-      "\"ingest_apply\":{\"ns\":%.2f,\"allocs_per_msg\":%.4f}}",
+      "\"ingest_apply\":{\"ns\":%.2f,\"allocs_per_msg\":%.4f},"
+      "\"snapshot_publish\":{\"ns\":%.2f,\"allocs_per_dirty_agent\":%.4f},"
+      "\"agent_report_build\":{\"ns\":%.2f,\"allocs_per_report\":%.4f},"
+      "\"agent_command_apply\":{\"ns\":%.2f,\"allocs_per_command\":%.4f}}",
       res.wire_bytes, res.encode_legacy_ns, res.encode_arena_ns, res.encode_speedup,
       res.encode_arena_allocs, res.decode_fresh_ns, res.decode_into_ns, res.decode_into_allocs,
       res.frame_ns, res.frame_allocs, res.loop_ns, res.loop_allocs, res.ingest_ns,
-      res.ingest_allocs);
+      res.ingest_allocs, res.publish_ns, res.publish_allocs, res.report_build_ns,
+      res.report_build_allocs, res.command_apply_ns, res.command_apply_allocs);
   const std::string json =
       "{" +
       flexran::bench::json_header(

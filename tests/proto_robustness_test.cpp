@@ -66,10 +66,16 @@ Surface message_surface(std::string name, const M& sample) {
           }};
 }
 
+// Every sample sets each field to a value other than its default and holds
+// at least two entries in every repeated field, so each field -- and each
+// omission rule -- is on the wire for the mutations to hit. The one
+// exception is MasterCheckpoint::version, which decode refuses unless it is
+// kVersion (its default).
 std::vector<Surface> all_surfaces() {
   std::vector<Surface> surfaces;
 
   Envelope envelope;
+  envelope.version = 2;
   envelope.type = MessageType::stats_reply;
   envelope.xid = 77;
   envelope.epoch = 3;
@@ -106,69 +112,98 @@ std::vector<Surface> all_surfaces() {
     CellConfigMsg cell;
     cell.cell_id = static_cast<lte::CellId>(i + 1);
     cell.bandwidth_mhz = 20.0;
+    cell.duplex = 1;
+    cell.tx_mode = 3;
+    cell.antenna_ports = 2;
+    cell.band = 7;
     cell.pci = static_cast<std::uint16_t>(100 + i);
     enb_config.cells.push_back(cell);
   }
   surfaces.push_back(body_surface("EnbConfigReply", enb_config));
 
   UeConfigReply ue_config;
-  UeConfigMsg ue;
-  ue.rnti = 70;
-  ue.primary_cell = 1;
-  ue.carrier_aggregation = true;
-  ue_config.ues.push_back(ue);
+  for (int i = 0; i < 2; ++i) {
+    UeConfigMsg ue;
+    ue.rnti = static_cast<lte::Rnti>(70 + i);
+    ue.primary_cell = 1;
+    ue.tx_mode = 2;
+    ue.ue_category = 6;
+    ue.carrier_aggregation = true;
+    ue_config.ues.push_back(ue);
+  }
   surfaces.push_back(body_surface("UeConfigReply", ue_config));
 
   LcConfigReply lc_config;
-  LcConfigMsg lc;
-  lc.rnti = 70;
-  lc.lc_group = 2;
-  lc_config.channels.push_back(lc);
+  for (int i = 0; i < 2; ++i) {
+    LcConfigMsg lc;
+    lc.rnti = static_cast<lte::Rnti>(70 + i);
+    lc.lcid = 4;
+    lc.lc_group = 2;
+    lc_config.channels.push_back(lc);
+  }
   surfaces.push_back(body_surface("LcConfigReply", lc_config));
 
   StatsRequest stats_request;
   stats_request.request_id = 9;
   stats_request.mode = ReportMode::periodic;
   stats_request.periodicity_ttis = 5;
+  stats_request.flags = stats_flags::kBsr | stats_flags::kCqi;
   stats_request.ues = {70, 71};
   surfaces.push_back(body_surface("StatsRequest", stats_request));
 
   StatsReply stats_reply;
   stats_reply.request_id = 9;
   stats_reply.subframe = 4321;
-  UeStatsReport report;
-  report.rnti = 70;
-  report.bsr_bytes = {100, 200, 0, 50};
-  report.wb_cqi = 12;
-  report.rlc_queue_bytes = 4000;
-  report.rsrp.push_back({1, -95.5});
-  report.rsrp.push_back({2, -101.0});
-  stats_reply.ue_reports.push_back(report);
-  CellStatsReport cell_report;
-  cell_report.cell_id = 1;
-  cell_report.dl_prbs_in_use = 40;
-  cell_report.active_ues = 2;
-  stats_reply.cell_reports.push_back(cell_report);
+  for (int i = 0; i < 2; ++i) {
+    UeStatsReport report;
+    report.rnti = static_cast<lte::Rnti>(70 + i);
+    report.bsr_bytes = {100, 200, 300, 50};
+    report.phr_db = 12;
+    report.wb_cqi = 12;
+    report.wb_cqi_protected = 9;
+    report.rlc_queue_bytes = 4000;
+    report.pending_harq = 2;
+    report.dl_bytes_delivered = 150'000;
+    report.ul_bytes_received = 40'000;
+    report.ul_buffer_bytes = 900;
+    report.rsrp.push_back({1, -95.5});
+    report.rsrp.push_back({2, -101.0});
+    stats_reply.ue_reports.push_back(report);
+    CellStatsReport cell_report;
+    cell_report.cell_id = static_cast<lte::CellId>(1 + i);
+    cell_report.noise_interference_dbm = -95.0;
+    cell_report.dl_prbs_in_use = 40;
+    cell_report.ul_prbs_in_use = 12;
+    cell_report.active_ues = 2;
+    stats_reply.cell_reports.push_back(cell_report);
+  }
   surfaces.push_back(body_surface("StatsReply", stats_reply));
 
   DlMacConfig dl_mac;
   dl_mac.cell_id = 1;
   dl_mac.target_subframe = 5000;
-  lte::DlDci dci;
-  dci.rnti = 70;
-  dci.rbs.set_range(0, 25);
-  dci.mcs = 20;
-  dl_mac.dcis.push_back(dci);
+  for (int i = 0; i < 2; ++i) {
+    lte::DlDci dci;
+    dci.rnti = static_cast<lte::Rnti>(70 + i);
+    dci.rbs.set_range(50 + 20 * i, 20);  // both RB words in use
+    dci.mcs = 20;
+    dci.harq_pid = 3;
+    dci.new_data = false;
+    dci.carrier = 1;
+    dl_mac.dcis.push_back(dci);
+  }
   surfaces.push_back(body_surface("DlMacConfig", dl_mac));
 
   UlMacConfig ul_mac;
   ul_mac.cell_id = 1;
   ul_mac.target_subframe = 5000;
-  lte::UlDci ul_dci;
-  ul_dci.rnti = 70;
-  ul_dci.rbs.set_range(10, 8);
-  ul_dci.mcs = 12;
-  ul_mac.dcis.push_back(ul_dci);
+  for (int i = 0; i < 2; ++i) {
+    lte::UlDci ul_dci;
+    ul_dci.rnti = static_cast<lte::Rnti>(70 + i);
+    ul_dci.rbs.set_range(60 + 10 * i, 8);
+    ul_dci.mcs = 12;
+    ul_mac.dcis.push_back(ul_dci);
+  }
   surfaces.push_back(body_surface("UlMacConfig", ul_mac));
 
   HandoverCommand handover;
@@ -180,7 +215,7 @@ std::vector<Surface> all_surfaces() {
   AbsConfig abs;
   abs.cell_id = 1;
   abs.pattern = lte::AbsPattern::per_frame(2);
-  abs.mute_during_abs = true;
+  abs.mute_during_abs = false;
   surfaces.push_back(body_surface("AbsConfig", abs));
 
   CarrierRestriction restriction;
@@ -203,6 +238,7 @@ std::vector<Surface> all_surfaces() {
   event.event = EventType::vsf_failure;
   event.subframe = 6000;
   event.rnti = 70;
+  event.cell_id = 2;
   event.xid = 12;
   event.module = "mac";
   event.vsf = "dl_ue_scheduler";
@@ -210,11 +246,12 @@ std::vector<Surface> all_surfaces() {
   event.failure_kind = VsfFailureKind::exception;
   event.failure_count = 3;
   event.detail = "threw std::runtime_error";
+  event.overload_state = 1;
   surfaces.push_back(body_surface("EventNotification", event));
 
   EventSubscription subscription;
   subscription.events = {EventType::ue_attach, EventType::rach_attempt};
-  subscription.enable = true;
+  subscription.enable = false;
   surfaces.push_back(body_surface("EventSubscription", subscription));
 
   ControlDelegation delegation;
@@ -234,15 +271,18 @@ std::vector<Surface> all_surfaces() {
   checkpoint.saved_at_us = 2'000'000;
   checkpoint.shard = 1;
   checkpoint.agent_ids = {1, 4};
-  CheckpointAgent agent;
-  agent.id = 1;
-  agent.name = "macro-a";
-  agent.capabilities = {"mac", "rrc"};
-  agent.epoch = 2;
-  agent.config = enb_config;
-  agent.reports.push_back(stats_request);
-  agent.policy_history.push_back(policy.yaml);
-  checkpoint.agents.push_back(agent);
+  for (std::uint32_t id : {1u, 4u}) {
+    CheckpointAgent agent;
+    agent.id = id;
+    agent.name = "macro-" + std::to_string(id);
+    agent.capabilities = {"mac", "rrc"};
+    agent.epoch = 2;
+    agent.config = enb_config;
+    agent.reports = {stats_request, stats_request};
+    agent.reports[1].request_id = 10;
+    agent.policy_history = {policy.yaml, "mac: {}\n"};
+    checkpoint.agents.push_back(agent);
+  }
   surfaces.push_back(message_surface("MasterCheckpoint", checkpoint));
 
   return surfaces;
@@ -616,32 +656,55 @@ std::uint64_t surface_digest(const std::vector<Surface>& surfaces, std::size_t i
   return digest.value();
 }
 
+// encode(decode(x)) is canonical: whatever value a decoder accepts re-encodes
+// to bytes that decode and re-encode to themselves. A decoder that keeps
+// something its encoder cannot write back (or an encoder that writes
+// something its decoder reads differently) breaks this on some mutant.
+TEST(ProtoRobustness, ReencodingIsAFixedPoint) {
+  const auto surfaces = all_surfaces();
+  for (std::size_t i = 0; i < surfaces.size(); ++i) {
+    auto inputs = mutants_of(surfaces, i);
+    inputs.push_back(surfaces[i].valid);
+    std::size_t accepted = 0;
+    for (const auto& input : inputs) {
+      const auto once = surfaces[i].reencode(input);
+      if (!once.has_value()) continue;
+      ++accepted;
+      const auto twice = surfaces[i].reencode(*once);
+      ASSERT_TRUE(twice.has_value()) << surfaces[i].name << ": re-encoding does not decode";
+      EXPECT_EQ(*twice, *once) << surfaces[i].name << " input of " << input.size() << " B";
+    }
+    EXPECT_GT(accepted, 1u) << surfaces[i].name;
+  }
+}
+
 TEST(ProtoRobustness, MutantDecodeDigestsArePinned) {
-  // Recorded from the decoders as of the field-number range fix. A change
-  // here means some mutant now decodes differently: a behavior change, not
-  // a refactor.
+  // Recorded from the hand-written decoders once every sample carried every
+  // field (splice mutants take their tails from the other samples, so each
+  // digest depends on all of them). A change here means some mutant now
+  // decodes differently: a behavior change, not a refactor.
   const std::map<std::string, std::uint64_t> pinned = {
-      {"Envelope", 0x9b1e4abb0b6f5f09ull},  // 540 mutants
-      {"Hello", 0x53069277f66cfa56ull},  // 544 mutants
-      {"EchoRequest", 0x39d95e85f09e03fbull},  // 519 mutants
-      {"EchoReply", 0x751de732733237e0ull},  // 519 mutants
-      {"EnbConfigReply", 0x30f373ff31ca16e4ull},  // 560 mutants
-      {"UeConfigReply", 0xfce7da6a7722bc4bull},  // 524 mutants
-      {"LcConfigReply", 0x10730f88a7760a57ull},  // 520 mutants
-      {"StatsRequest", 0x986134efecfc70d5ull},  // 525 mutants
-      {"StatsReply", 0x00109a0998767d2aull},  // 572 mutants
-      {"DlMacConfig", 0x1384d58a79d45ba5ull},  // 532 mutants
-      {"UlMacConfig", 0x94fb03c4e36b3fc3ull},  // 527 mutants
-      {"HandoverCommand", 0x6530db4e68999bd3ull},  // 518 mutants
-      {"AbsConfig", 0x15367d3669540cf1ull},  // 522 mutants
-      {"CarrierRestriction", 0xb370469cb4692bd3ull},  // 516 mutants
-      {"DrxConfig", 0x6a770246edf05e10ull},  // 518 mutants
-      {"ScellCommand", 0x60cd9f03a2c4553eull},  // 516 mutants
-      {"EventNotification", 0xad95f73e252bbae1ull},  // 587 mutants
-      {"EventSubscription", 0xea78bdac2b3b87f1ull},  // 518 mutants
-      {"ControlDelegation", 0xcbc2a627f3f909a0ull},  // 552 mutants
-      {"PolicyReconfiguration", 0xdb4ce4d66454650aull},  // 561 mutants
-      {"MasterCheckpoint", 0xc852f65c9b3cf47dull},  // 666 mutants
+      {"Envelope", 0x932a9106f25919f6ull},  // 540 mutants
+      {"Hello", 0xeb932291eaf3c8a6ull},  // 544 mutants
+      {"EchoRequest", 0xa165f787b11fcac8ull},  // 519 mutants
+      {"EchoReply", 0x6bd9b8e2589f1966ull},  // 519 mutants
+      {"EnbConfigReply", 0x8d8eb7bf9b1a99a2ull},  // 560 mutants
+      {"UeConfigReply", 0x455c97879a8164feull},  // 536 mutants
+      {"LcConfigReply", 0x9d2dfcb990cd1ca8ull},  // 528 mutants
+      {"StatsRequest", 0x5dbe7ead05a6b550ull},  // 524 mutants
+      {"StatsReply", 0x1f70f6a79333bab7ull},  // 659 mutants
+      {"DlMacConfig", 0xee117298e18c355cull},  // 561 mutants
+      {"UlMacConfig", 0x11405eeca7ed0ee9ull},  // 547 mutants
+      {"HandoverCommand", 0x830d3d2b520a61f1ull},  // 518 mutants
+      {"AbsConfig", 0xbc5c35f37e6a1beaull},  // 522 mutants
+      {"CarrierRestriction", 0x4dcfd3b5f93f59caull},  // 516 mutants
+      {"DrxConfig", 0x5054d418ec8734efull},  // 518 mutants
+      {"ScellCommand", 0x0823d7637c3e2a92ull},  // 516 mutants
+      {"EventNotification", 0x43593d1e7c78c876ull},  // 591 mutants
+      {"EventSubscription", 0xf557963b6f60fdaaull},  // 518 mutants
+      {"ControlDelegation", 0x3c41dca3974461f6ull},  // 552 mutants
+      {"PolicyReconfiguration", 0xdb21ad8c81947afaull},  // 561 mutants
+      {"MasterCheckpoint", 0x937d280136c3fee9ull},  // 852 mutants
   };
   const auto surfaces = all_surfaces();
   for (std::size_t i = 0; i < surfaces.size(); ++i) {
