@@ -1,6 +1,7 @@
 #include "scenario/config.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <memory>
@@ -33,8 +34,9 @@ using util::YamlNode;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Accepted numeric range: [lo, hi], or (lo, hi] when lo_open. A NaN is
-/// never rejected: every comparison with it is false.
+/// Accepted numeric range: [lo, hi], or (lo, hi] when lo_open. Non-finite
+/// reals are refused before the range is asked (a NaN passes every
+/// comparison).
 struct Range {
   double lo = -kInf;
   double hi = kInf;
@@ -118,6 +120,7 @@ util::Result<T> read_number(const YamlNode& node, const Range& range) {
   if (!value.ok()) {
     return invalid(std::is_integral_v<T> ? "must be an integer" : "must be a number");
   }
+  if (!std::isfinite(static_cast<double>(*value))) return invalid("must be a finite number");
   if (range.rejects(static_cast<double>(*value))) return invalid("must be " + range.describe());
   return static_cast<T>(*value);
 }
@@ -194,7 +197,7 @@ void write_value(const StructOf<Member>& in, const std::string& pad, std::string
   } else if constexpr (std::is_integral_v<T>) {
     out += " " + std::to_string(value) + "\n";
   } else if constexpr (std::is_same_v<T, std::string>) {
-    out += " " + value + "\n";
+    out += " " + util::scalar_text(value) + "\n";
   } else if constexpr (std::is_same_v<T, FaultKind>) {
     out += " " + std::string(to_string(value)) + "\n";
   } else if constexpr (std::is_same_v<T, std::vector<int>>) {
@@ -221,6 +224,7 @@ constexpr Key<StructOf<Member>> key(const char* name, Range range = {},
 template <typename S>
 util::Status read_section(std::span<const Key<S>> keys, const YamlNode& node,
                           const std::string& where, std::size_t index, S& out) {
+  if (!node.is_map()) return invalid(where + ": must be a map of keys");
   std::vector<const YamlNode*> given(keys.size(), nullptr);
   for (const auto& [name, value] : node.entries()) {
     const auto it = std::find_if(keys.begin(), keys.end(),

@@ -91,10 +91,6 @@ bool reads_back_bare(std::string_view text, bool item) {
   return !item || text.front() == '[' || text.find(':') == std::string_view::npos;
 }
 
-std::string scalar_text(const std::string& text, bool item) {
-  return reads_back_bare(text, item) ? text : '"' + text + '"';
-}
-
 /// "[a,b]" reads back item for item unless an item holds a comma; a lone
 /// empty item would read back as no items at all.
 bool has_inline_form(const YamlNode& node) {
@@ -111,6 +107,14 @@ bool has_inline_form(const YamlNode& node) {
   }
   return true;
 }
+
+}  // namespace
+
+std::string scalar_text(const std::string& text, bool item) {
+  return reads_back_bare(text, item) ? text : '"' + text + '"';
+}
+
+namespace {
 
 /// The text that follows "key:" or "-" on the same line: a scalar, an
 /// inline sequence or "{}"; empty when the value is a block below.

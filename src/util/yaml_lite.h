@@ -64,4 +64,9 @@ class YamlNode {
 /// Parses a document; the root is always a map.
 Result<YamlNode> parse_yaml(std::string_view text);
 
+/// `text` as a scalar that parse_yaml reads back unchanged after "key: "
+/// (or after "- " when `item`): bare when it would, double-quoted when not.
+/// dump() writes every scalar this way.
+std::string scalar_text(const std::string& text, bool item = false);
+
 }  // namespace flexran::util

@@ -251,6 +251,77 @@ TEST(ScenarioYaml, EnbDefaultsFollowPositionAndId) {
   EXPECT_EQ(spec->enbs[1].name, "enb-9");
 }
 
+// A real key takes finite numbers only. NaN passes every range comparison,
+// so `duration_s: nan` used to run zero cycles and exit 0; `inf` passed the
+// open lower bound of `above(0)`.
+TEST(ScenarioYaml, RealKeysRejectNonFiniteValues) {
+  const std::string trace_ue = "ues:\n  - enb: 1\n    cqi_trace: [3]\n";
+  const std::vector<std::pair<std::string, std::string>> keys = {
+      {"duration_s", "top level"},
+      {"agent_timeout_ms", "top level"},
+      {"agent_disconnect_timeout_ms", "top level"},
+      {"request_timeout_ms", "top level"},
+      {"metrics_period_s", "top level"},
+      {"resync_tokens_per_s", "top level"},
+      {"resync_burst", "top level"},
+      {"resync_retry_after_ms", "top level"},
+      {"readiness_quorum", "top level"},
+      {"readiness_timeout_ms", "top level"},
+      {"checkpoint_period_s", "top level"},
+      {"control_delay_ms", "enbs[0]"},
+      {"control_rate_mbps", "enbs[0]"},
+      {"rate_mbps", "ues[0]"},
+      {"ul_rate_mbps", "ues[0]"},
+      {"cqi_trace_period_ms", "ues[0]"},
+      {"at_s", "faults[0]"},
+      {"duration_s", "faults[0]"},
+      {"delay_ms", "faults[0]"},
+      {"period_s", "faults[0]"},
+  };
+  for (const auto& [key, where] : keys) {
+    for (const char* value : {"nan", "inf", "-inf", "NAN", "infinity"}) {
+      std::string yaml;
+      const std::string line = key + ": " + value + "\n";
+      if (where == "top level") {
+        yaml = line + kMinimal;
+      } else if (where == "enbs[0]") {
+        yaml = std::string(kMinimal) + "    " + line;
+      } else if (where == "ues[0]") {
+        yaml = std::string(kMinimal) + trace_ue + "    " + line;
+      } else {
+        yaml = std::string(kMinimal) + "faults:\n  - kind: heal\n    " + line;
+      }
+      EXPECT_EQ(rejection(yaml), where + ": " + key + " must be a finite number") << yaml;
+    }
+  }
+}
+
+// An item of a section must be a map of keys. A scalar item (`- 5`) or a
+// bare `-` used to run as an item with every key at its default.
+TEST(ScenarioYaml, SectionItemsMustBeMaps) {
+  EXPECT_EQ(rejection(std::string(kMinimal) + "ues:\n  - enb: 1\n  - 5\n"),
+            "ues[1]: must be a map of keys");
+  EXPECT_EQ(rejection(std::string(kMinimal) + "ues:\n  -\n"), "ues[0]: must be a map of keys");
+  EXPECT_EQ(rejection("enbs:\n  - [1, 2]\n"), "enbs[0]: must be a map of keys");
+  EXPECT_EQ(rejection(std::string(kMinimal) + "faults:\n  - heal\n"),
+            "faults[0]: must be a map of keys");
+}
+
+// Text values the YAML reader would read differently when written bare
+// (a leading '#', surrounding spaces, quotes, a "key: value" look) survive
+// emit then parse.
+TEST(ScenarioYaml, TextValuesSurviveEmitAndParse) {
+  for (const std::string name : {"#x", " padded ", "\"quoted\"", "a: b", "[1,2]", "{}", "",
+                                  "'single'", "plain-name"}) {
+    scenario::ScenarioSpec spec;
+    spec.enbs.resize(1);
+    spec.enbs[0].name = name;
+    const auto back = scenario::parse_scenario(scenario::scenario_to_yaml(spec));
+    ASSERT_TRUE(back.ok()) << "name [" << name << "]: " << back.error().message;
+    EXPECT_EQ(back->enbs.at(0).name, name) << scenario::scenario_to_yaml(spec);
+  }
+}
+
 // ------------------------------------------------------ YAML round trip --
 //
 // A seeded mutation corpus over the scenario files: truncations, bit
