@@ -13,21 +13,6 @@ namespace flexran::ctrl {
 
 namespace {
 
-/// Reads just the request_id (field 1) of an encoded StatsReply body --
-/// the coalesce key -- without materializing the full reply.
-std::uint32_t peek_stats_request_id(const std::vector<std::uint8_t>& body) {
-  proto::WireDecoder dec(body);
-  proto::WireDecoder::FieldHeader header;
-  while (!dec.done() && dec.try_field(header)) {
-    if (header.field == 1 && header.type == proto::WireType::varint) {
-      std::uint64_t value = 0;
-      return dec.try_varint(value) ? static_cast<std::uint32_t>(value) : 0;
-    }
-    if (!dec.try_skip(header.type)) return 0;
-  }
-  return 0;
-}
-
 /// Packs (agent, kind, request_id) into one coalesce key. Kinds: 1 =
 /// periodic StatsReply (per request_id), 2 = subframe tick (one per
 /// agent; each tick supersedes the previous).
@@ -98,21 +83,20 @@ void ShardCore::add_agent(net::Transport& transport, AgentId id) {
                                    << envelope.error().message;
       return;
     }
+    const proto::MessageClass cls = proto::classify(envelope->type, envelope->body);
     auto session = sessions_.find(id);
     if (session != sessions_.end()) {
-      session->second.rx.record(proto::categorize(envelope->type, envelope->body),
-                                data.size() + net::kFrameHeaderBytes);
+      session->second.rx.record(cls.category, data.size() + net::kFrameHeaderBytes);
     }
-    const net::TrafficClass cls = proto::traffic_class(envelope->type, envelope->body);
     std::uint64_t key = 0;
     if (envelope->type == proto::MessageType::stats_reply) {
       // A superseded periodic reply coalesces per (agent, request_id);
       // ticks coalesce per agent (each one supersedes the previous).
-      key = ingest_key(id, 1, peek_stats_request_id(envelope->body));
-    } else if (cls == net::TrafficClass::sync) {
+      key = ingest_key(id, 1, proto::peek_stats_request_id(envelope->body));
+    } else if (cls.traffic == net::TrafficClass::sync) {
       key = ingest_key(id, 2, 0);
     }
-    pending_.push(cls, data.size() + net::kFrameHeaderBytes, key,
+    pending_.push(cls.traffic, data.size() + net::kFrameHeaderBytes, key,
                   PendingUpdate{id, envelope->epoch, std::move(*envelope)});
   });
   transport.set_disconnect_callback(

@@ -68,6 +68,9 @@ struct MasterCheckpoint {
 
   std::vector<std::uint8_t> encode() const;
   static util::Result<MasterCheckpoint> decode(std::span<const std::uint8_t> data);
+  /// decode() into a reused struct: resets `out`, keeping vector and string
+  /// capacity, and decodes into it.
+  static util::Status decode_into(std::span<const std::uint8_t> data, MasterCheckpoint& out);
 };
 
 }  // namespace flexran::proto

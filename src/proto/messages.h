@@ -115,9 +115,12 @@ struct Envelope {
   std::vector<std::uint8_t> body;
 
   std::vector<std::uint8_t> encode() const;
-  /// Appends the trailing envelope fields (5..11, all zero-omitted) to `enc`.
-  /// Split out so encode_envelope() can write the body inline between the
-  /// leading fields and this tail; byte layout matches encode().
+  /// encode() in two halves around a body written in place, for
+  /// encode_envelope(): encode_head writes the fields before the body, with
+  /// `body_type` as the type, and opens the body (returning its
+  /// WireEncoder::begin_message mark); encode_tail writes the fields after
+  /// it. The bytes match encode() of the same envelope.
+  std::size_t encode_head(WireEncoder& enc, MessageType body_type) const;
   void encode_tail(WireEncoder& enc) const;
   static util::Result<Envelope> decode(std::span<const std::uint8_t> data);
   /// Allocation-free variant of decode(): resets `out` and decodes into it,
@@ -125,6 +128,14 @@ struct Envelope {
   /// and call this per message.
   static util::Status decode_into(std::span<const std::uint8_t> data, Envelope& out);
 };
+
+/// Warm decode of any message body M (every struct below with a kType and
+/// an encode_body): resets `out` to its defaults, keeping vector and string
+/// capacity, and decodes `data` into it. M::decode_body is this same path
+/// over a fresh struct; with a warm `out` of the same shape it performs no
+/// heap allocation.
+template <typename M>
+util::Status decode_body_into(std::span<const std::uint8_t> data, M& out);
 
 // ------------------------------------------------------- agent management
 
@@ -327,9 +338,8 @@ struct StatsReply {
 
   void encode_body(WireEncoder& enc) const;
   static util::Result<StatsReply> decode_body(std::span<const std::uint8_t> data);
-  /// Allocation-free variant of decode_body(): resets `out` and decodes into
-  /// it, reusing the report vectors (and each report's rsrp vector) in place.
-  /// With a warm `out` of the same shape this performs zero heap allocations.
+  /// proto::decode_body_into for StatsReply: reuses the report vectors (and
+  /// each report's rsrp vector) in place.
   static util::Status decode_body_into(std::span<const std::uint8_t> data, StatsReply& out);
 };
 
@@ -557,16 +567,28 @@ struct DecodeAnomalies {
 
 DecodeAnomalies& decode_anomalies();
 
-/// Category for Fig. 7 signaling accounting. Event notifications split by
-/// event type: subframe ticks are `sync`, everything else `agent_management`.
-MessageCategory categorize(MessageType type, const std::vector<std::uint8_t>& body);
+/// How a received message is accounted and queued.
+struct MessageClass {
+  /// Bucket for Fig. 7 signaling accounting.
+  MessageCategory category;
+  /// Traffic class for the overload-protection layer (net::TrafficClass,
+  /// docs/overload_protection.md). Session and command/config traffic maps
+  /// to unsheddable classes.
+  net::TrafficClass traffic;
+};
 
-/// Traffic class for the overload-protection layer (net::TrafficClass,
-/// docs/overload_protection.md). Session and command/config traffic maps
-/// to unsheddable classes; event notifications split by event type:
-/// subframe ticks are `sync` (coalescible, superseded every TTI),
-/// everything else is `event`.
-net::TrafficClass traffic_class(MessageType type, const std::vector<std::uint8_t>& body);
+/// Classifies a message by its type, except that a subframe-tick event
+/// notification is `sync` in both (coalescible, superseded every TTI) where
+/// every other event is agent_management / event. The tick is told by
+/// reading the body's `event` field alone; an empty body is a tick (the
+/// field's default), a body malformed before that field is not.
+MessageClass classify(MessageType type, std::span<const std::uint8_t> body);
+inline MessageCategory categorize(MessageType type, std::span<const std::uint8_t> body) {
+  return classify(type, body).category;
+}
+inline net::TrafficClass traffic_class(MessageType type, std::span<const std::uint8_t> body) {
+  return classify(type, body).traffic;
+}
 
 /// Body-independent variants, for callers that only have the type. For
 /// event_notification these return the non-tick answer (agent_management /
@@ -602,10 +624,7 @@ inline net::TrafficClass traffic_class(const EventNotification& event) {
 /// `body` (ignored). Bytes are identical to pack()/Envelope::encode().
 template <typename M>
 void encode_envelope(WireEncoder& enc, const Envelope& header, const M& message) {
-  enc.field_varint(1, header.version);
-  enc.field_varint(2, static_cast<std::uint64_t>(M::kType));
-  if (header.xid != 0) enc.field_varint(3, header.xid);
-  const std::size_t mark = enc.begin_message(4);
+  const std::size_t mark = header.encode_head(enc, M::kType);
   message.encode_body(enc);
   enc.end_message(mark);
   header.encode_tail(enc);
@@ -631,6 +650,10 @@ util::Result<M> unpack(const Envelope& envelope) {
   }
   return M::decode_body(envelope.body);
 }
+
+/// The request_id of an encoded StatsReply body (the ingest coalesce key),
+/// read alone without decoding the reports; 0 when absent or malformed.
+std::uint32_t peek_stats_request_id(std::span<const std::uint8_t> body);
 
 /// Conversion from the lte:: scheduling types to wire DCIs.
 DlMacConfig to_dl_mac_config(const lte::SchedulingDecision& decision);

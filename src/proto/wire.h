@@ -92,7 +92,7 @@ class WireDecoder {
   // Each primitive returns false on malformed input and records a static
   // reason (failure()); nothing here allocates or builds a util::Error. The
   // message boundary turns the reason into one error() -- see
-  // decode_helpers.h and docs/wire_fastpath.md.
+  // codec.h and docs/wire_fastpath.md.
   bool try_field(FieldHeader& out);
   bool try_varint(std::uint64_t& out);
   bool try_double(double& out);

@@ -12,6 +12,7 @@
 #include "apps/remote_scheduler.h"
 #include "scenario/obs_export.h"
 #include "traffic/udp.h"
+#include "util/member.h"
 #include "util/strings.h"
 #include "util/yaml_lite.h"
 #include "verify/invariants.h"
@@ -77,17 +78,8 @@ struct Key {
   }
 };
 
-template <typename>
-struct MemberOf;
-template <typename S, typename T>
-struct MemberOf<T S::*> {
-  using Struct = S;
-  using Type = T;
-};
-template <auto Member>
-using StructOf = typename MemberOf<decltype(Member)>::Struct;
-template <auto Member>
-using TypeOf = typename MemberOf<decltype(Member)>::Type;
+using util::StructOf;
+using util::TypeOf;
 
 /// The key table of a section's item type (specialized below).
 template <typename Item>

@@ -11,6 +11,7 @@
 #include <iomanip>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,42 +29,68 @@ using namespace flexran::proto;
 using flexran::seeded::Digest;
 using flexran::seeded::Prng;
 
-/// One decoder surface under test: a valid encoding plus a type-erased
-/// decode that re-encodes what it accepted (nullopt when it refused). Most
-/// tests only look at success/failure (the value itself is irrelevant --
-/// the sanitizers judge the memory behavior); the digest guard below looks
-/// at the re-encoded value too.
+using Bytes = std::vector<std::uint8_t>;
+/// Decodes, then re-encodes what it accepted (nullopt when it refused).
+using Reencode = std::function<std::optional<Bytes>(std::span<const std::uint8_t>)>;
+
+/// One decoder surface under test: a valid encoding plus type-erased
+/// decoders that re-encode what they accepted. `reencode` decodes into a
+/// fresh struct; `warm()` makes a decoder that decodes every call into one
+/// long-lived struct, first filled by decoding `dirt`. Most tests only look
+/// at success/failure (the value itself is irrelevant -- the sanitizers
+/// judge the memory behavior); the digest guard below looks at the
+/// re-encoded value too.
 struct Surface {
   std::string name;
-  std::vector<std::uint8_t> valid;
-  std::function<std::optional<std::vector<std::uint8_t>>(std::span<const std::uint8_t>)> reencode;
+  Bytes valid;
+  Reencode reencode;
+  std::function<Reencode(std::span<const std::uint8_t> dirt)> warm;
 
   bool decode(std::span<const std::uint8_t> data) const { return reencode(data).has_value(); }
 };
 
-template <typename M>
-Surface body_surface(std::string name, const M& sample) {
-  WireEncoder enc;
-  sample.encode_body(enc);
-  return {std::move(name), enc.take(),
-          [](std::span<const std::uint8_t> data) -> std::optional<std::vector<std::uint8_t>> {
-            auto decoded = M::decode_body(data);
-            if (!decoded.ok()) return std::nullopt;
-            WireEncoder out;
-            decoded->encode_body(out);
-            return out.take();
-          }};
+/// Builds a surface from the message's codec: `encode(m)`, a fresh
+/// `decode(data)` and a warm `decode_into(data, m)`.
+template <typename M, typename Encode, typename Decode, typename DecodeInto>
+Surface make_surface(std::string name, const M& sample, Encode encode, Decode decode,
+                     DecodeInto decode_into) {
+  Surface surface{std::move(name), encode(sample), {}, {}};
+  surface.reencode = [=](std::span<const std::uint8_t> data) -> std::optional<Bytes> {
+    auto decoded = decode(data);
+    if (!decoded.ok()) return std::nullopt;
+    return encode(*decoded);
+  };
+  surface.warm = [=](std::span<const std::uint8_t> dirt) -> Reencode {
+    auto target = std::make_shared<M>();
+    (void)decode_into(dirt, *target);
+    return [=](std::span<const std::uint8_t> data) -> std::optional<Bytes> {
+      if (!decode_into(data, *target).ok()) return std::nullopt;
+      return encode(*target);
+    };
+  };
+  return surface;
 }
 
-/// Surface for a message with a top-level decode()/encode() pair.
+template <typename M>
+Surface body_surface(std::string name, const M& sample) {
+  return make_surface(
+      std::move(name), sample,
+      [](const M& message) {
+        WireEncoder enc;
+        message.encode_body(enc);
+        return enc.take();
+      },
+      [](std::span<const std::uint8_t> data) { return M::decode_body(data); },
+      [](std::span<const std::uint8_t> data, M& out) { return decode_body_into(data, out); });
+}
+
+/// Surface for a message with a top-level encode()/decode()/decode_into().
 template <typename M>
 Surface message_surface(std::string name, const M& sample) {
-  return {std::move(name), sample.encode(),
-          [](std::span<const std::uint8_t> data) -> std::optional<std::vector<std::uint8_t>> {
-            auto decoded = M::decode(data);
-            if (!decoded.ok()) return std::nullopt;
-            return decoded->encode();
-          }};
+  return make_surface(
+      std::move(name), sample, [](const M& message) { return message.encode(); },
+      [](std::span<const std::uint8_t> data) { return M::decode(data); },
+      [](std::span<const std::uint8_t> data, M& out) { return M::decode_into(data, out); });
 }
 
 // Every sample sets each field to a value other than its default and holds
@@ -719,77 +746,33 @@ TEST(ProtoRobustness, MutantDecodeDigestsArePinned) {
   EXPECT_EQ(pinned.size(), surfaces.size());
 }
 
-/// Fills every field of `out` with values no mutant decodes to, and more
-/// repeated entries than any mutant carries.
-void dirty(Envelope& out) {
-  out.version = 0xee;
-  out.type = MessageType::scell_command;
-  out.xid = 0xdead;
-  out.epoch = out.queue_status = 0x5a;
-  out.throttle_hint = out.master_epoch = out.retry_after_ms = 0xbeef;
-  out.ts_us = out.ts_echo_us = 0xfeedface;
-  out.body.assign(512, 0xab);
-}
-
-void dirty(StatsReply& out) {
-  out.request_id = 0xdead;
-  out.subframe = -77;
-  out.ue_reports.resize(8);
-  for (auto& report : out.ue_reports) {
-    report.rnti = 0xbeef;
-    report.bsr_bytes = {1, 2, 3, 4};
-    report.phr_db = -40;
-    report.wb_cqi = report.wb_cqi_protected = 15;
-    report.rlc_queue_bytes = report.pending_harq = report.ul_buffer_bytes = 99;
-    report.dl_bytes_delivered = report.ul_bytes_received = 12345;
-    report.rsrp.assign(5, RsrpMeasurement{9, -44.0});
-  }
-  out.cell_reports.assign(6, CellStatsReport{9, -90.0, 11, 12, 13});
-}
-
-std::vector<std::uint8_t> encoded(const Envelope& envelope) { return envelope.encode(); }
-std::vector<std::uint8_t> encoded(const StatsReply& reply) {
-  WireEncoder enc;
-  reply.encode_body(enc);
-  return enc.take();
-}
-
 // The warm-struct receive paths must be indistinguishable from a fresh
-// decode on every mutant: same verdict and, when accepted, the same value,
-// whether the struct was just dirtied or carries whatever the previous
-// (possibly failed) decode left in it.
-template <typename M, typename Fresh, typename Into>
-void expect_decode_into_matches_decode(const std::string& name, Fresh fresh, Into into) {
+// decode on every mutant of every surface: same verdict and, when accepted,
+// the same value, whether the struct was just dirtied or carries whatever
+// the previous (possibly failed) decode left in it. A struct is dirtied by
+// decoding a larger sample into it first: the valid sample twice over, so
+// every field holds a non-default value and every repeated field holds
+// more entries than the sample.
+TEST(ProtoRobustness, DecodeIntoMatchesDecodeOnMutants) {
   const auto surfaces = all_surfaces();
-  std::size_t index = 0;
-  while (surfaces[index].name != name) ++index;
-  M warm;
-  for (const auto& mutant : mutants_of(surfaces, index)) {
-    const auto reference = fresh(mutant);
-    M dirtied;
-    dirty(dirtied);
-    for (M* target : {&dirtied, &warm}) {
-      const auto status = into(mutant, *target);
-      ASSERT_EQ(status.ok(), reference.ok()) << name << " mutant of " << mutant.size() << " B";
-      if (status.ok()) {
-        EXPECT_EQ(encoded(*target), encoded(*reference)) << name;
-      }
+  for (std::size_t i = 0; i < surfaces.size(); ++i) {
+    const auto& surface = surfaces[i];
+    Bytes dirt = surface.valid;
+    dirt.insert(dirt.end(), surface.valid.begin(), surface.valid.end());
+    ASSERT_TRUE(surface.decode(dirt)) << surface.name;
+    const auto warm = surface.warm(dirt);
+    for (const auto& mutant : mutants_of(surfaces, i)) {
+      const auto reference = surface.reencode(mutant);
+      const auto dirtied = surface.warm(dirt)(mutant);
+      ASSERT_EQ(dirtied.has_value(), reference.has_value())
+          << surface.name << " mutant of " << mutant.size() << " B";
+      if (reference) EXPECT_EQ(*dirtied, *reference) << surface.name;
+      const auto reused = warm(mutant);
+      ASSERT_EQ(reused.has_value(), reference.has_value())
+          << surface.name << " mutant of " << mutant.size() << " B";
+      if (reference) EXPECT_EQ(*reused, *reference) << surface.name;
     }
   }
-}
-
-TEST(ProtoRobustness, DecodeIntoMatchesDecodeOnMutants) {
-  expect_decode_into_matches_decode<Envelope>(
-      "Envelope", [](std::span<const std::uint8_t> data) { return Envelope::decode(data); },
-      [](std::span<const std::uint8_t> data, Envelope& out) {
-        return Envelope::decode_into(data, out);
-      });
-  expect_decode_into_matches_decode<StatsReply>(
-      "StatsReply",
-      [](std::span<const std::uint8_t> data) { return StatsReply::decode_body(data); },
-      [](std::span<const std::uint8_t> data, StatsReply& out) {
-        return StatsReply::decode_body_into(data, out);
-      });
 }
 
 }  // namespace
