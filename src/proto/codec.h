@@ -347,17 +347,6 @@ struct Field {
   }
 };
 
-template <int... N>
-constexpr bool distinct_numbers() {
-  constexpr int numbers[] = {N...};
-  for (std::size_t i = 0; i < sizeof...(N); ++i) {
-    for (std::size_t j = i + 1; j < sizeof...(N); ++j) {
-      if (numbers[i] == numbers[j]) return false;
-    }
-  }
-  return true;
-}
-
 // ---------------------------------------------------------- generic codec
 
 template <std::size_t From, std::size_t To, typename M, typename... R, std::size_t... I>
@@ -395,6 +384,7 @@ constexpr std::size_t row_numbered() {
 template <int N, typename M, typename Counts, typename... R>
 bool read_numbered(WireDecoder& dec, const FieldHeader& header, M& out, Counts& counts,
                    Table<R...>) {
+  static_assert((0 + ... + (R::kNumber == N)) <= 1, "a field number appears twice");
   constexpr std::size_t kRow = row_numbered<N, R...>();
   if constexpr (kRow < sizeof...(R)) {
     return RowAt<kRow, R...>::read(dec, header, out, counts[kRow]);
@@ -408,7 +398,6 @@ inline constexpr int kMaxTableNumber = 16;
 
 template <typename M, typename... R, std::size_t... I>
 bool read_rows(WireDecoder& dec, M& out, Table<R...>, std::index_sequence<I...>) {
-  static_assert(distinct_numbers<R::kNumber...>(), "a field number appears twice");
   static_assert(((R::kNumber <= kMaxTableNumber) && ...), "widen the switch in read_rows");
   (R::reset(out), ...);
   std::array<std::uint32_t, sizeof...(R)> counts{};

@@ -129,9 +129,9 @@ struct Envelope {
   static util::Status decode_into(std::span<const std::uint8_t> data, Envelope& out);
 };
 
-/// Warm decode of any message body M (every struct below with a kType and
-/// an encode_body): resets `out` to its defaults, keeping vector and string
-/// capacity, and decodes `data` into it. M::decode_body is this same path
+/// Warm decode of a message body M (every struct below with a kType, except
+/// the three empty config requests): resets `out` to its defaults, keeping
+/// vector and string capacity, and decodes `data` into it. M::decode_body is this same path
 /// over a fresh struct; with a warm `out` of the same shape it performs no
 /// heap allocation.
 template <typename M>
@@ -570,11 +570,11 @@ DecodeAnomalies& decode_anomalies();
 /// How a received message is accounted and queued.
 struct MessageClass {
   /// Bucket for Fig. 7 signaling accounting.
-  MessageCategory category;
+  MessageCategory category = MessageCategory::agent_management;
   /// Traffic class for the overload-protection layer (net::TrafficClass,
   /// docs/overload_protection.md). Session and command/config traffic maps
   /// to unsheddable classes.
-  net::TrafficClass traffic;
+  net::TrafficClass traffic = net::TrafficClass::config;
 };
 
 /// Classifies a message by its type, except that a subframe-tick event

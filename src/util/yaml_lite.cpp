@@ -108,14 +108,6 @@ bool has_inline_form(const YamlNode& node) {
   return true;
 }
 
-}  // namespace
-
-std::string scalar_text(const std::string& text, bool item) {
-  return reads_back_bare(text, item) ? text : '"' + text + '"';
-}
-
-namespace {
-
 /// The text that follows "key:" or "-" on the same line: a scalar, an
 /// inline sequence or "{}"; empty when the value is a block below.
 std::string inline_text(const YamlNode& value, bool item) {
@@ -131,6 +123,10 @@ std::string inline_text(const YamlNode& value, bool item) {
 }
 
 }  // namespace
+
+std::string scalar_text(const std::string& text, bool item) {
+  return reads_back_bare(text, item) ? text : '"' + text + '"';
+}
 
 std::string YamlNode::dump(int indent) const {
   const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');

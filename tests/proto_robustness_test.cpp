@@ -766,11 +766,15 @@ TEST(ProtoRobustness, DecodeIntoMatchesDecodeOnMutants) {
       const auto dirtied = surface.warm(dirt)(mutant);
       ASSERT_EQ(dirtied.has_value(), reference.has_value())
           << surface.name << " mutant of " << mutant.size() << " B";
-      if (reference) EXPECT_EQ(*dirtied, *reference) << surface.name;
+      if (reference) {
+        EXPECT_EQ(*dirtied, *reference) << surface.name;
+      }
       const auto reused = warm(mutant);
       ASSERT_EQ(reused.has_value(), reference.has_value())
           << surface.name << " mutant of " << mutant.size() << " B";
-      if (reference) EXPECT_EQ(*reused, *reference) << surface.name;
+      if (reference) {
+        EXPECT_EQ(*reused, *reference) << surface.name;
+      }
     }
   }
 }
