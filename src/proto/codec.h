@@ -26,8 +26,8 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <tuple>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
